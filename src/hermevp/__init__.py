@@ -16,8 +16,8 @@ from .analysis import (InterpRecord, InterpReport, ReferenceSolution,
 from .assembly import (CoefficientSet, DofMap, FEFunction, SymBandMatrix,
                        assemble, build_dof_map, element_matrices,
                        energy_inner_product, rayleigh_quotient)
-from .eigensolver import (Method, SolverConfig, Spectrum, residual_check,
-                          residual_norms, solve_smallest)
+from .eigensolver import (Method, SolverConfig, Spectrum, residual_norms,
+                          solve_smallest)
 from .element import (HermiteData, PiecewiseFunction, QuadRule, ShapeTable,
                       eval_layer_function, gauss_rule, hermite_basis,
                       hermite_interpolant, shape_table)
@@ -25,8 +25,7 @@ from .errors import (AmbiguousSign, AssumptionViolated, BadGrouping,
                      CoefficientViolation, DegreeTooLow, DimensionMismatch,
                      HermevpError, InvalidLayerWidth, InvalidSpec, KTooLarge,
                      NoConvergence, NonpositiveError, NotPositiveDefinite,
-                     RegionOverlap, SignNotAligned, TooFewPoints,
-                     WrongMeshKind, ZeroVector)
+                     RegionOverlap, TooFewPoints, WrongMeshKind, ZeroVector)
 from .mesh import (BoundsReport, GradingFunction, Mesh, MeshKind, MeshSpec,
                    Region, build_exp_mesh, build_mesh, build_shishkin_mesh,
                    build_uniform_mesh, check_mesh_bounds, mesh_to_csv)
@@ -42,15 +41,15 @@ __all__ = [
     "MeshSpec", "Method", "NoConvergence", "NonpositiveError",
     "NotPositiveDefinite", "PiecewiseFunction", "QuadRule",
     "ReferenceSolution", "Region", "RegionOverlap", "ShapeTable",
-    "SignNotAligned", "SlopeFit", "SolverConfig", "Spectrum", "StudyRecord",
-    "StudyReport", "SymBandMatrix", "TooFewPoints", "WrongMeshKind",
-    "ZeroVector", "align_sign", "assemble", "build_dof_map",
+    "SlopeFit", "SolverConfig", "Spectrum", "StudyRecord", "StudyReport",
+    "SymBandMatrix", "TooFewPoints", "WrongMeshKind", "ZeroVector",
+    "align_sign", "assemble", "build_dof_map",
     "build_exp_mesh", "build_mesh", "build_shishkin_mesh",
     "build_uniform_mesh", "check_mesh_bounds", "compute_reference",
     "convergence_study", "default_reference_n", "discrete_max_error",
     "element_matrices", "energy_inner_product", "energy_norm_error",
     "eval_layer_function", "fit_slope", "fit_slope_tail", "gauss_rule",
     "hermite_basis", "hermite_interpolant", "interp_rate_study",
-    "mesh_to_csv", "rayleigh_quotient", "residual_check", "residual_norms",
+    "mesh_to_csv", "rayleigh_quotient", "residual_norms",
     "sample_points", "shape_table", "solve_smallest",
 ]

@@ -66,17 +66,18 @@ class SymBandMatrix:
         self.band = np.zeros((bandwidth + 1, n))
 
     def scatter(self, idx: np.ndarray, local: np.ndarray) -> None:
-        """Add a dense symmetric local matrix at global indices idx; negative
-        indices mark eliminated dofs and are skipped."""
-        keep = np.flatnonzero(idx >= 0)
-        gi = idx[keep]
-        loc = local[np.ix_(keep, keep)]
-        ii = np.repeat(gi, len(gi))
-        jj = np.tile(gi, len(gi))
-        upper = ii <= jj
-        np.add.at(self.band,
-                  (self.bandwidth + ii[upper] - jj[upper], jj[upper]),
-                  loc.ravel()[upper])
+        """Add dense symmetric local matrices at global indices: idx of shape
+        (n_el, m) with local of shape (n_el, m, m), or one element's (m,) and
+        (m, m).  Negative indices mark eliminated dofs and are skipped;
+        contributions to one entry are summed in element order."""
+        idx = np.atleast_2d(idx)
+        local = np.reshape(local, (len(idx),) + np.shape(local)[-2:])
+        ii, jj = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+        keep = (ii >= 0) & (ii <= jj)
+        flat = (self.bandwidth + ii[keep] - jj[keep]) * self.n + jj[keep]
+        self.band += np.bincount(flat, weights=local[keep],
+                                 minlength=self.band.size
+                                 ).reshape(self.band.shape)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -94,7 +95,15 @@ class SymBandMatrix:
         return sblas.dsbmv(self.bandwidth, 1.0, self.band, x)
 
     def norm_inf(self) -> float:
-        return float(np.abs(self.to_dense()).sum(axis=1).max())
+        """Largest absolute row sum, read off the band: each stored
+        off-diagonal entry counts in its own row and its mirror's."""
+        absband = np.abs(self.band)
+        rows = absband[self.bandwidth].copy()
+        for d in range(1, min(self.bandwidth, self.n - 1) + 1):
+            diag = absband[self.bandwidth - d, d:]
+            rows[:-d] += diag
+            rows[d:] += diag
+        return float(rows.max())
 
     def dump(self, path) -> None:
         """Write stored band entries as 'row col value' lines (i <= j)."""
@@ -125,38 +134,28 @@ class DofMap:
 def build_dof_map(n_elements: int, p: int) -> DofMap:
     if p < 3:
         raise InvalidSpec(f"element degree must be >= 3, got {p}")
+    if n_elements < 1:
+        raise InvalidSpec(f"need at least one element, got {n_elements}")
     N = n_elements
-    n_bub = p - 3
-    node_value = np.full(N + 1, -1, dtype=np.int64)
-    node_slope = np.full(N + 1, -1, dtype=np.int64)
-    bubbles = np.full((N, n_bub), -1, dtype=np.int64)
-    counter = 0
-    for i in range(N + 1):
-        if i not in (0, N):
-            node_value[i] = counter
-            node_slope[i] = counter + 1
-            counter += 2
-        if i < N:
-            for m in range(n_bub):
-                bubbles[i, m] = counter
-                counter += 1
+    # node i's (value, slope) pair sits at (p-3) + (i-1)(p-1) and element
+    # e's bubbles start at e(p-1)
+    node = np.arange(N + 1)
+    interior = (node > 0) & (node < N)
+    node_value = np.where(interior, (p - 3) + (node - 1) * (p - 1), -1)
+    node_slope = np.where(interior, node_value + 1, -1)
+    e = np.arange(N)
+    bubbles = e[:, None] * (p - 1) + np.arange(p - 3)
+    element_dofs = np.column_stack([node_value[:-1], node_slope[:-1],
+                                    node_value[1:], node_slope[1:], bubbles])
+    n_free = 2 * (N - 1) + N * (p - 3)
 
-    element_dofs = np.empty((N, p + 1), dtype=np.int64)
-    for e in range(N):
-        element_dofs[e, 0] = node_value[e]
-        element_dofs[e, 1] = node_slope[e]
-        element_dofs[e, 2] = node_value[e + 1]
-        element_dofs[e, 3] = node_slope[e + 1]
-        element_dofs[e, 4:] = bubbles[e]
-
-    bandwidth = 0
-    for e in range(N):
-        free = element_dofs[e][element_dofs[e] >= 0]
-        if len(free) > 1:
-            bandwidth = max(bandwidth, int(free.max() - free.min()))
+    # free dofs of element e span [e(p-1) - 2, (e+1)(p-1) - 1], clipped
+    lowest = np.maximum(e * (p - 1) - 2, 0)
+    highest = np.minimum((e + 1) * (p - 1) - 1, n_free - 1)
+    bandwidth = max(int((highest - lowest).max()), 0)
     return DofMap(
         p=p,
-        n_free=counter,
+        n_free=n_free,
         bandwidth=bandwidth,
         element_dofs=element_dofs,
         value_indices=node_value[1:N].copy(),
@@ -164,22 +163,32 @@ def build_dof_map(n_elements: int, p: int) -> DofMap:
     )
 
 
-def element_matrices(h: float, shapes: ShapeTable, epsilon: float,
+def element_matrices(h, shapes: ShapeTable, epsilon: float,
                      a_vals: np.ndarray, b_vals: np.ndarray):
-    """Local stiffness and mass matrices for one element of width h, with
-    coefficient samples a_vals, b_vals at the mapped quadrature points."""
+    """Local stiffness and mass matrices of elements of width h, with
+    coefficient samples a_vals, b_vals at the mapped quadrature points.
+
+    Widths of shape (n_el,) with samples (n_el, nq) give (n_el, p+1, p+1)
+    stacks; a scalar width with samples (nq,) gives one (p+1, p+1) pair.
+    """
+    single = np.ndim(h) == 0
+    h = np.atleast_1d(np.asarray(h, dtype=float))[:, None, None]
     w = shapes.rule.weights
     k2 = (shapes.d2 * w) @ shapes.d2.T
-    k1 = (shapes.d1 * (w * a_vals)) @ shapes.d1.T
-    k0 = (shapes.values * (w * b_vals)) @ shapes.values.T
     m0 = (shapes.values * w) @ shapes.values.T
+    k1 = np.einsum("eq,iq,kq->eik", np.atleast_2d(a_vals) * w,
+                   shapes.d1, shapes.d1)
+    k0 = np.einsum("eq,iq,kq->eik", np.atleast_2d(b_vals) * w,
+                   shapes.values, shapes.values)
 
     k_loc = (epsilon**2 / h**3) * k2 + (1.0 / h) * k1 + h * k0
     m_loc = h * m0
-    scale = np.ones(shapes.p + 1)
-    scale[1] = scale[3] = h
-    k_loc = k_loc * scale[:, None] * scale[None, :]
-    m_loc = m_loc * scale[:, None] * scale[None, :]
+    scale = np.ones((len(h), shapes.p + 1))
+    scale[:, 1] = scale[:, 3] = h[:, 0, 0]
+    k_loc *= scale[:, :, None] * scale[:, None, :]
+    m_loc *= scale[:, :, None] * scale[:, None, :]
+    if single:
+        return k_loc[0], m_loc[0]
     return k_loc, m_loc
 
 
@@ -195,14 +204,16 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
             f"shape degree {shapes.p} disagrees with mesh spec degree {mesh.spec.p}"
         )
     nodes, widths = mesh.nodes, mesh.widths
-    n_el = mesh.n_elements
-    q = shapes.rule.points
-    w = shapes.rule.weights
-    eps = coeffs.epsilon
-
-    x = nodes[:-1, None] + widths[:, None] * q[None, :]     # (n_el, nq)
+    x = nodes[:-1, None] + widths[:, None] * shapes.rule.points[None, :]
     a_at = np.broadcast_to(np.asarray(coeffs.a(x), dtype=float), x.shape)
     b_at = np.broadcast_to(np.asarray(coeffs.b(x), dtype=float), x.shape)
+    for name, vals in (("a", a_at), ("b", b_at)):
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise CoefficientViolation(
+                f"{name}(x) = {float(vals[bad][0])} is not finite at "
+                f"x = {float(x[bad][0])}"
+            )
     if not coeffs.allow_degenerate:
         tol = 1e-12 * max(1.0, abs(coeffs.a_floor))
         if np.any(a_at < coeffs.a_floor - tol):
@@ -213,29 +224,14 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
         if np.any(b_at < 0.0):
             raise CoefficientViolation(f"b(x) reaches {float(b_at.min())} < 0")
 
-    k2_ref = (shapes.d2 * w) @ shapes.d2.T
-    m_ref = (shapes.values * w) @ shapes.values.T
-    k1_el = np.einsum("eq,iq,kq->eik", a_at * w, shapes.d1, shapes.d1)
-    k0_el = np.einsum("eq,iq,kq->eik", b_at * w, shapes.values, shapes.values)
-
-    h = widths
-    k_el = (eps**2 / h**3)[:, None, None] * k2_ref[None] \
-        + (1.0 / h)[:, None, None] * k1_el \
-        + h[:, None, None] * k0_el
-    m_el = h[:, None, None] * m_ref[None]
-    scale = np.ones((n_el, shapes.p + 1))
-    scale[:, 1] = scale[:, 3] = h
-    k_el *= scale[:, :, None] * scale[:, None, :]
-    m_el *= scale[:, :, None] * scale[:, None, :]
-
-    dofmap = build_dof_map(n_el, shapes.p)
+    k_el, m_el = element_matrices(widths, shapes, coeffs.epsilon, a_at, b_at)
+    dofmap = build_dof_map(mesh.n_elements, shapes.p)
     if dofmap.n_free == 0:
         raise InvalidSpec("no free dofs: mesh too small for clamped ends")
     K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
     M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-    for e in range(n_el):
-        K.scatter(dofmap.element_dofs[e], k_el[e])
-        M.scatter(dofmap.element_dofs[e], m_el[e])
+    K.scatter(dofmap.element_dofs, k_el)
+    M.scatter(dofmap.element_dofs, m_el)
     return K, M, dofmap
 
 

@@ -86,12 +86,6 @@ class BadGrouping(HermevpError):
     exit_code = 14
 
 
-class SignNotAligned(HermevpError):
-    """Eigenvector comparison attempted without sign alignment."""
-
-    exit_code = 15
-
-
 class AmbiguousSign(HermevpError):
     """Sign alignment failed because the two vectors are L2-orthogonal."""
 

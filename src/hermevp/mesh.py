@@ -74,7 +74,7 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class GradingFunction:
-    """phi(t) = -ln(1 - 4 c_pe t) on [0, 1/4), plus its derivative.
+    """phi(t) = -ln(1 - 4 c_pe t) on [0, 1/4).
 
     c_pe = 1 - exp(-beta/((p+1) eps)) lies in (0, 1]; for eps small enough
     the float value rounds to exactly 1.0, which is fine everywhere phi is
@@ -98,13 +98,6 @@ class GradingFunction:
         if np.any(arg <= 0.0):
             raise InvalidSpec("phi argument outside its domain (1 - 4 c t <= 0)")
         return -np.log(arg)
-
-    def phi_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        arg = 1.0 - 4.0 * self.c_pe * t
-        if np.any(arg <= 0.0):
-            raise InvalidSpec("phi argument outside its domain (1 - 4 c t <= 0)")
-        return 4.0 * self.c_pe / arg
 
 
 @dataclass(frozen=True)

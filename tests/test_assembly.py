@@ -78,6 +78,22 @@ class TestElementMatricesAgainstExactIntegrals:
         assert np.max(np.abs(k_loc - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
+class TestBatchedElementMatrices:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_batch_equals_scalar_calls_stacked(self, p):
+        shapes = shape_table(p)
+        rng = np.random.default_rng(p)
+        h = rng.uniform(1e-6, 0.5, size=7)
+        a = rng.uniform(1.0, 3.0, size=(7, shapes.rule.n_points))
+        b = rng.uniform(0.0, 2.0, size=(7, shapes.rule.n_points))
+        k_el, m_el = element_matrices(h, shapes, 1e-3, a, b)
+        assert k_el.shape == m_el.shape == (7, p + 1, p + 1)
+        pairs = [element_matrices(h[e], shapes, 1e-3, a[e], b[e])
+                 for e in range(7)]
+        assert np.array_equal(k_el, np.stack([k for k, _ in pairs]))
+        assert np.array_equal(m_el, np.stack([m for _, m in pairs]))
+
+
 class TestDofMap:
     def test_cubic_map_on_four_elements(self):
         dm = build_dof_map(4, 3)
@@ -129,6 +145,18 @@ class TestSymBandMatrix:
         assert A.to_dense()[1, 2] == 2.0
         assert A.to_dense()[2, 1] == 2.0
 
+    def test_batched_scatter_equals_one_at_a_time(self):
+        rng = np.random.default_rng(8)
+        dm = build_dof_map(6, 5)
+        local = rng.standard_normal((6, 6, 6))
+        local = local + local.transpose(0, 2, 1)
+        batched = SymBandMatrix(dm.n_free, dm.bandwidth)
+        batched.scatter(dm.element_dofs, local)
+        single = SymBandMatrix(dm.n_free, dm.bandwidth)
+        for e in range(6):
+            single.scatter(dm.element_dofs[e], local[e])
+        assert np.array_equal(batched.band, single.band)
+
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
         A = SymBandMatrix(9, 3)
@@ -151,6 +179,15 @@ class TestSymBandMatrix:
         A = SymBandMatrix(3, 1)
         A.scatter(np.array([0, 1]), np.array([[1.0, -2.0], [-2.0, 5.0]]))
         assert A.norm_inf() == 7.0
+
+    @pytest.mark.parametrize("n,bw", [(1, 0), (5, 0), (9, 3), (40, 5),
+                                      (3, 3), (2, 6)])
+    def test_norm_inf_matches_dense_on_random_bands(self, n, bw):
+        rng = np.random.default_rng(10 * n + bw)
+        A = SymBandMatrix(n, bw)
+        A.band[:] = rng.standard_normal(A.band.shape)
+        expect = np.abs(A.to_dense()).sum(1).max()
+        assert A.norm_inf() == pytest.approx(expect, rel=1e-14)
 
     def test_dump_lists_stored_entries(self, tmp_path):
         A = SymBandMatrix(4, 2)

@@ -91,6 +91,14 @@ class TestExitCodes:
         assert rc == 8
         assert "CoefficientViolation" in err
 
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "solve", "--preset", "custom",
+                         "--a-expr", "1+0*x", "--b-expr", "sqrt(x-1)",
+                         "--out", str(tmp_path))
+        assert rc == 8
+        assert err.startswith("error: CoefficientViolation")
+        assert "Traceback" not in err
+
 
 class TestCoefficientExpressions:
     def test_forbidden_names_rejected(self, tmp_path, capsys):

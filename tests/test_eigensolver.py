@@ -4,9 +4,9 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from hermevp import (CoefficientSet, InvalidSpec, KTooLarge, MeshSpec,
-                     Method, NotPositiveDefinite, SolverConfig, Spectrum,
-                     SymBandMatrix, assemble, build_mesh, residual_check,
-                     shape_table, solve_smallest)
+                     Method, NoConvergence, NotPositiveDefinite, SolverConfig,
+                     Spectrum, SymBandMatrix, assemble, build_mesh,
+                     residual_norms, shape_table, solve_smallest)
 
 
 def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
@@ -80,10 +80,24 @@ class TestShiftInvert:
 
     def test_agrees_with_dense_path(self):
         K, M, _ = assemble_problem(epsilon=1e-2, n=16, p=3, kind="exp")
-        dense = solve_smallest(K, M, SolverConfig(k=3))
-        si = solve_smallest(K, M, self.config(3))
+        for k in (3, K.n):
+            dense = solve_smallest(K, M, SolverConfig(k=k))
+            si = solve_smallest(K, M, self.config(k))
+            assert np.max(np.abs(si.eigenvalues - dense.eigenvalues)
+                          / dense.eigenvalues) < 1e-9
+
+    @pytest.mark.parametrize("p,n,kind,epsilon,k", [
+        (5, 512, "exp", 1e-8, 5),
+        (3, 1024, "shishkin", 1e-6, 2),
+    ])
+    def test_agrees_with_dense_path_on_layer_meshes(self, p, n, kind,
+                                                    epsilon, k):
+        K, M, _ = assemble_problem(epsilon=epsilon, n=n, p=p, kind=kind,
+                                   a=np.exp, b=lambda x: x)
+        dense = solve_smallest(K, M, SolverConfig(k=k))
+        si = solve_smallest(K, M, self.config(k))
         assert np.max(np.abs(si.eigenvalues - dense.eigenvalues)
-                      / dense.eigenvalues) < 1e-9
+                      / dense.eigenvalues) < 1e-12
 
     def test_shift_does_not_change_answers(self):
         K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
@@ -104,6 +118,17 @@ class TestShiftInvert:
         spec = solve_smallest(K, M, self.config(2))
         assert spec.iterations >= 2
         assert spec.method is Method.SHIFT_INVERT
+
+    def test_iteration_cap_raises(self):
+        # evenly spaced eigenvalues leave Lanczos no gap to converge on
+        # within one restart
+        n = 400
+        K = SymBandMatrix(n, 0)
+        K.band[0] = np.linspace(1.0, 2.0, n)
+        M = SymBandMatrix(n, 0)
+        M.band[0] = 1.0
+        with pytest.raises(NoConvergence):
+            solve_smallest(K, M, self.config(3, max_iter=1))
 
     def test_indefinite_shift_rejected(self):
         K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
@@ -130,10 +155,11 @@ class TestResidualCheck:
         spec = solve_smallest(K, M, SolverConfig(k=1))
         lam = float(spec.eigenvalues[0])
         u = spec.eigenvectors[:, 0]
-        assert residual_check(K, M, lam, u) < 1e-12
+        lams = np.array([lam])
+        assert residual_norms(K, M, lams, u[:, None])[0] < 1e-12
         rng = np.random.default_rng(11)
         bad = u + 1e-3 * rng.standard_normal(len(u))
-        assert residual_check(K, M, lam, bad) > 1e-6
+        assert residual_norms(K, M, lams, bad[:, None])[0] > 1e-6
 
 
 class TestClusterFlags:
