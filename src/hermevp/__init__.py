@@ -16,7 +16,7 @@ from .analysis import (InterpRecord, InterpReport, ReferenceSolution,
 from .assembly import (CoefficientSet, DofMap, FEFunction, SymBandMatrix,
                        assemble, build_dof_map, element_matrices,
                        energy_inner_product, rayleigh_quotient)
-from .eigensolver import (Method, SolverConfig, Spectrum, residual_norms,
+from .eigensolver import (SolverConfig, Spectrum, residual_norms,
                           solve_smallest)
 from .element import (HermiteData, PiecewiseFunction, QuadRule, ShapeTable,
                       eval_layer_function, gauss_rule, hermite_basis,
@@ -38,7 +38,7 @@ __all__ = [
     "DimensionMismatch", "DofMap", "FEFunction", "GradingFunction",
     "HermevpError", "HermiteData", "InterpRecord", "InterpReport",
     "InvalidLayerWidth", "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
-    "MeshSpec", "Method", "NoConvergence", "NonpositiveError",
+    "MeshSpec", "NoConvergence", "NonpositiveError",
     "NotPositiveDefinite", "PiecewiseFunction", "QuadRule",
     "ReferenceSolution", "Region", "RegionOverlap", "ShapeTable",
     "SlopeFit", "SolverConfig", "Spectrum", "StudyRecord", "StudyReport",

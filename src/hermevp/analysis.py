@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assembly import CoefficientSet, FEFunction, assemble
-from .eigensolver import Method, SolverConfig, Spectrum, solve_smallest
+from .eigensolver import SolverConfig, Spectrum, solve_smallest
 from .element import (HermiteData, eval_layer_function, gauss_rule,
                       hermite_interpolant, shape_table)
 from .errors import (AmbiguousSign, AssumptionViolated, InvalidLayerWidth,
@@ -276,8 +276,7 @@ def compute_reference(kind, epsilon: float, beta: float, p: int, n_ref: int,
                     kind=MeshKind(kind))
     mesh = build_mesh(spec)
     K, M, dofmap = assemble(mesh, shape_table(p), coeffs)
-    spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol,
-                                                 method=Method.DENSE_REDUCE))
+    spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
     funcs = tuple(FEFunction.from_dof_vector(mesh, dofmap,
                                              spectrum.eigenvectors[:, m])
                   for m in range(modes))
@@ -398,8 +397,7 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
         mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
                                    n_elements=n, kind=kind))
         K, M, dofmap = assemble(mesh, shapes, coeffs)
-        spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol,
-                                                     method=Method.DENSE_REDUCE))
+        spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
         pts = sample_points(mesh, per_region)
         for m in range(modes):
             u_h = FEFunction.from_dof_vector(mesh, dofmap,

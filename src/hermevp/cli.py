@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import (StudyRecord, convergence_study, fit_slope,
                        interp_rate_study)
 from .assembly import CoefficientSet, FEFunction, assemble
-from .eigensolver import Method, SolverConfig, solve_smallest
+from .eigensolver import SolverConfig, solve_smallest
 from .element import shape_table
 from .errors import CoefficientViolation, HermevpError, InvalidSpec
 from .mesh import (MeshKind, MeshSpec, build_mesh, check_mesh_bounds,
@@ -77,7 +77,9 @@ def make_expr_function(expr: str):
             )
 
     def fn(x):
-        return eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "x": x})
+        # NaN/inf results are reported as CoefficientViolation, not warnings
+        with np.errstate(all="ignore"):
+            return eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "x": x})
 
     return fn
 
@@ -103,9 +105,9 @@ def resolve_coefficients(preset: str, a_expr: str, b_expr: str,
     b = make_expr_function(b_expr)
     probe = np.linspace(0.0, 1.0, 4097)
     a_min = float(np.min(np.broadcast_to(a(probe), probe.shape)))
-    if a_min <= 0.0:
+    if not a_min > 0.0:                              # also catches NaN
         raise CoefficientViolation(
-            f"a(x) = {a_expr!r} reaches {a_min} <= 0 on [0, 1]"
+            f"a(x) = {a_expr!r} reaches {a_min} on [0, 1], need a > 0"
         )
     return CoefficientSet(a=a, b=b, epsilon=epsilon,
                           a_floor=a_min * (1.0 - 1e-9))
@@ -206,7 +208,7 @@ def _build_problem(opts: _Options, default_modes: int = 1) -> ProblemConfig:
     b_expr = opts.get("b_expr", str, None)
     out = _ensure_out(opts.get("out", str, "."))
     coeffs = resolve_coefficients(preset, a_expr, b_expr, epsilon)
-    solver = SolverConfig(k=modes, tol=tol, method=Method.DENSE_REDUCE)
+    solver = SolverConfig(k=modes, tol=tol)
     return ProblemConfig(epsilon=epsilon, beta=beta, p=p, n=n, mesh=kind,
                          modes=modes, coeffs=coeffs, solver=solver, out=out)
 

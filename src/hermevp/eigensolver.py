@@ -1,4 +1,4 @@
-"""Solvers for the generalized symmetric eigenproblem K u = lambda M u.
+"""Solver for the generalized symmetric eigenproblem K u = lambda M u.
 
 Both matrices come out of assembly symmetric positive definite, but their
 conditioning is wildly different: K carries entries of size eps^2 / h^3,
@@ -6,23 +6,25 @@ around 1e9 on layer-adapted meshes, while M scales with h.  Reducing to an
 ordinary eigenproblem via a Cholesky factor of M would put that 1e9 onto
 the reduced matrix and cost the small eigenvalues most of their digits.
 
-The dense path therefore factors K = R^T R and solves
+solve_smallest therefore works with mu = 1 / lambda: it factors the band
+of K = R^T R once and hands banded solves with that factor to ARPACK's
+shift-invert Lanczos (scipy.sparse.linalg.eigsh, sigma = 0), so the
+smallest lambda become the largest mu of K^{-1} M and are recovered with
+near machine relative accuracy.  No dense n x n matrix is formed; the cost
+is one band factorization plus banded solves and products.
 
-    R^{-T} M R^{-1} y = mu y,   mu = 1 / lambda,
+ARPACK cannot return all n pairs, so k = n goes through the dense
+reduction
 
-so the smallest lambda become the LARGEST mu of a well-behaved dense
-symmetric matrix and are recovered with near machine relative accuracy.
+    R^{-T} M R^{-1} y = mu y,
 
-The shift-invert path factors the band of K - shift*M once and hands
-banded solves with that factor to ARPACK's shift-invert Lanczos
-(scipy.sparse.linalg.eigsh); it never forms a dense matrix and suits large
-n with few wanted modes.
+whose largest mu are again the smallest lambda.  The tests use the same
+reduction as their oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
@@ -33,29 +35,19 @@ from .errors import (InvalidSpec, KTooLarge, NoConvergence,
                      NotPositiveDefinite, ZeroVector)
 
 CLUSTER_RTOL = 1e-8
-
-
-class Method(str, Enum):
-    DENSE_REDUCE = "dense-reduce"
-    SHIFT_INVERT = "shift-invert"
+MAX_RESTARTS = 500          # cap on ARPACK's implicit restarts
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     k: int
     tol: float = 1e-11
-    max_iter: int = 500
-    shift: float = 0.0
-    method: Method = Method.DENSE_REDUCE
 
     def __post_init__(self):
         if self.k < 1:
             raise InvalidSpec(f"need at least one mode, got k={self.k}")
         if self.tol <= 0.0:
             raise InvalidSpec(f"tolerance must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidSpec(f"max_iter must be >= 1, got {self.max_iter}")
-        object.__setattr__(self, "method", Method(self.method))
 
 
 @dataclass(frozen=True)
@@ -66,8 +58,9 @@ class Spectrum:
         ||K u - lambda M u|| / ((||K||_inf + |lambda| ||M||_inf) ||u||)
     per mode.  clustered flags eigenvalues whose neighbor gap is below
     CLUSTER_RTOL relatively; those eigenVECTORS are only defined up to
-    rotation within the cluster.  iterations is 1 for dense reduce and the
-    number of banded solves with the shifted factor for shift-invert.
+    rotation within the cluster.  iterations is the number of banded solves
+    with the factor of K that Lanczos took, and 1 for the dense reduction
+    that serves k = n.
     """
 
     eigenvalues: np.ndarray
@@ -75,7 +68,6 @@ class Spectrum:
     residuals: np.ndarray
     ortho_error: float
     clustered: np.ndarray
-    method: Method
     iterations: int = 0
 
     def __post_init__(self):
@@ -142,22 +134,22 @@ def _tri_solve(rband: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     return x
 
 
-def _solve_dense_reduce(K: SymBandMatrix, M: SymBandMatrix,
-                        config: SolverConfig):
+def _solve_dense_reduce(K: SymBandMatrix, M: SymBandMatrix, k: int):
     rband = _factor_spd_band(K.band, "stiffness matrix")
     y = _tri_solve(rband, M.to_dense(), "T")         # R^{-T} M
     c = _tri_solve(rband, y.T, "T").T                # R^{-T} M R^{-1}
     c = 0.5 * (c + c.T)
     mu, z = eigh(c)
-    sel = np.argsort(mu)[::-1][:config.k]            # largest mu first
-    mu_sel = mu[sel]
-    if np.any(mu_sel <= 0.0):
-        raise NotPositiveDefinite(
-            "reduced matrix has non-positive eigenvalues; M is not definite"
+    sel = np.argsort(mu)[::-1][:k]                   # largest mu first
+    if np.any(mu[sel] <= 0.0):
+        raise KTooLarge(
+            f"only {int(np.sum(mu > 0.0))} of the {K.n} modes can be "
+            f"resolved: mu = 1/lambda of the highest modes falls below "
+            f"rounding error"
         )
-    lams = 1.0 / mu_sel
+    lams = 1.0 / mu[sel]
     vecs = _tri_solve(rband, z[:, sel], "N")         # u = R^{-1} y
-    return lams, vecs, 1
+    return lams, vecs
 
 
 def _solve_shift_invert(K: SymBandMatrix, M: SymBandMatrix,
@@ -167,14 +159,7 @@ def _solve_shift_invert(K: SymBandMatrix, M: SymBandMatrix,
                                      eigsh)
 
     n = K.n
-    if config.k >= n:                                # beyond ARPACK's reach
-        return _solve_dense_reduce(K, M, config)
-    shifted = K.band
-    if config.shift != 0.0:
-        if M.bandwidth != K.bandwidth or M.n != n:
-            raise InvalidSpec("K and M band layouts disagree")
-        shifted = K.band - config.shift * M.band
-    factor = _factor_spd_band(shifted, "shifted matrix K - shift*M")
+    factor = _factor_spd_band(K.band, "stiffness matrix")
 
     solves = 0
 
@@ -188,13 +173,13 @@ def _solve_shift_invert(K: SymBandMatrix, M: SymBandMatrix,
 
     try:
         lams, vecs = eigsh(operator(K.matvec), k=config.k,
-                           M=operator(M.matvec), sigma=config.shift,
+                           M=operator(M.matvec), sigma=0.0,
                            OPinv=operator(solve), v0=np.ones(n),
-                           tol=config.tol, maxiter=config.max_iter)
+                           tol=config.tol, maxiter=MAX_RESTARTS)
     except ArpackNoConvergence as exc:
         raise NoConvergence(
             f"shift-invert Lanczos did not reach tol={config.tol} in "
-            f"{config.max_iter} restarts ({len(exc.eigenvalues)} of "
+            f"{MAX_RESTARTS} restarts ({len(exc.eigenvalues)} of "
             f"{config.k} modes converged)"
         ) from exc
     return lams, vecs, solves
@@ -209,8 +194,9 @@ def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
         raise KTooLarge(f"asked for {config.k} modes but only {K.n} dofs")
     _factor_spd_band(M.band, "mass matrix")
 
-    if config.method is Method.DENSE_REDUCE:
-        lams, vecs, iters = _solve_dense_reduce(K, M, config)
+    if config.k == K.n:                              # beyond ARPACK's reach
+        lams, vecs = _solve_dense_reduce(K, M, config.k)
+        iters = 1
     else:
         lams, vecs, iters = _solve_shift_invert(K, M, config)
 
@@ -230,6 +216,5 @@ def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
         residuals=res,
         ortho_error=_ortho_error(M, vecs),
         clustered=_cluster_flags(lams),
-        method=config.method,
         iterations=iters,
     )

@@ -27,7 +27,7 @@ class RegionOverlap(HermevpError):
 
 
 class NoConvergence(HermevpError):
-    """Iterative eigensolver hit its iteration cap before the tolerance."""
+    """Lanczos hit its restart cap, or a residual exceeded its headroom."""
 
     exit_code = 4
 
@@ -39,7 +39,7 @@ class AssumptionViolated(HermevpError):
 
 
 class KTooLarge(HermevpError):
-    """More eigenpairs requested than the discrete space carries."""
+    """More eigenpairs requested than the discrete space can resolve."""
 
     exit_code = 6
 
@@ -69,7 +69,7 @@ class ZeroVector(HermevpError):
 
 
 class NotPositiveDefinite(HermevpError):
-    """Cholesky factorization failed (matrix or shifted matrix not SPD)."""
+    """Cholesky factorization failed (matrix not SPD)."""
 
     exit_code = 12
 

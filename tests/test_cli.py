@@ -97,7 +97,22 @@ class TestExitCodes:
                          "--out", str(tmp_path))
         assert rc == 8
         assert err.startswith("error: CoefficientViolation")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_nan_coefficient_probe(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "solve", "--preset", "custom",
+                         "--a-expr", "1+0*log(x)", "--b-expr", "0",
+                         "--out", str(tmp_path))
+        assert rc == 8
+        assert err.startswith("error: CoefficientViolation")
+        assert len(err.splitlines()) == 1
+
+    def test_modes_beyond_rounding(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "solve", "--p", "5", "--n", "8",
+                         "--epsilon", "1e-8", "--modes", "30",
+                         "--out", str(tmp_path))
+        assert rc == 6
+        assert err.startswith("error: KTooLarge: only 29 of the 30 modes")
 
 
 class TestCoefficientExpressions:

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from hermevp import (CoefficientSet, InvalidSpec, KTooLarge, MeshSpec,
-                     Method, NoConvergence, NotPositiveDefinite, SolverConfig,
+                     NoConvergence, NotPositiveDefinite, SolverConfig,
                      Spectrum, SymBandMatrix, assemble, build_mesh,
-                     residual_norms, shape_table, solve_smallest)
+                     eigensolver, residual_norms, shape_table,
+                     solve_smallest)
 
 
 def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
@@ -75,16 +78,12 @@ class TestDenseReduce:
 
 
 class TestShiftInvert:
-    def config(self, k, **kw):
-        return SolverConfig(k=k, method=Method.SHIFT_INVERT, **kw)
-
     def test_agrees_with_dense_path(self):
         K, M, _ = assemble_problem(epsilon=1e-2, n=16, p=3, kind="exp")
         for k in (3, K.n):
-            dense = solve_smallest(K, M, SolverConfig(k=k))
-            si = solve_smallest(K, M, self.config(k))
-            assert np.max(np.abs(si.eigenvalues - dense.eigenvalues)
-                          / dense.eigenvalues) < 1e-9
+            dense, _ = eigensolver._solve_dense_reduce(K, M, k)
+            si = solve_smallest(K, M, SolverConfig(k=k))
+            assert np.max(np.abs(si.eigenvalues - dense) / dense) < 1e-9
 
     @pytest.mark.parametrize("p,n,kind,epsilon,k", [
         (5, 512, "exp", 1e-8, 5),
@@ -94,32 +93,23 @@ class TestShiftInvert:
                                                     epsilon, k):
         K, M, _ = assemble_problem(epsilon=epsilon, n=n, p=p, kind=kind,
                                    a=np.exp, b=lambda x: x)
-        dense = solve_smallest(K, M, SolverConfig(k=k))
-        si = solve_smallest(K, M, self.config(k))
-        assert np.max(np.abs(si.eigenvalues - dense.eigenvalues)
-                      / dense.eigenvalues) < 1e-12
-
-    def test_shift_does_not_change_answers(self):
-        K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
-        plain = solve_smallest(K, M, self.config(3))
-        shifted = solve_smallest(K, M, self.config(3, shift=5.0))
-        assert np.max(np.abs(plain.eigenvalues - shifted.eigenvalues)
-                      / plain.eigenvalues) < 1e-9
+        dense, _ = eigensolver._solve_dense_reduce(K, M, k)
+        si = solve_smallest(K, M, SolverConfig(k=k))
+        assert np.max(np.abs(si.eigenvalues - dense) / dense) < 1e-12
 
     def test_bitwise_determinism(self):
         K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
-        a = solve_smallest(K, M, self.config(2))
-        b = solve_smallest(K, M, self.config(2))
+        a = solve_smallest(K, M, SolverConfig(k=2))
+        b = solve_smallest(K, M, SolverConfig(k=2))
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_iteration_count_reported(self):
         K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
-        spec = solve_smallest(K, M, self.config(2))
+        spec = solve_smallest(K, M, SolverConfig(k=2))
         assert spec.iterations >= 2
-        assert spec.method is Method.SHIFT_INVERT
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # evenly spaced eigenvalues leave Lanczos no gap to converge on
         # within one restart
         n = 400
@@ -127,13 +117,46 @@ class TestShiftInvert:
         K.band[0] = np.linspace(1.0, 2.0, n)
         M = SymBandMatrix(n, 0)
         M.band[0] = 1.0
+        monkeypatch.setattr(eigensolver, "MAX_RESTARTS", 1)
         with pytest.raises(NoConvergence):
-            solve_smallest(K, M, self.config(3, max_iter=1))
+            solve_smallest(K, M, SolverConfig(k=3))
 
-    def test_indefinite_shift_rejected(self):
-        K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
+    def test_indefinite_stiffness_rejected(self):
+        _, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
+        K = SymBandMatrix(M.n, 0)
+        K.band[0] = 1.0
+        K.band[0, 5] = -1.0
         with pytest.raises(NotPositiveDefinite):
-            solve_smallest(K, M, self.config(2, shift=1e12))
+            solve_smallest(K, M, SolverConfig(k=2))
+
+    def test_no_dense_matrix_on_solve_path(self):
+        # 8190 dofs: one dense n x n float64 matrix would take 537 MB
+        K, M, _ = assemble_problem(epsilon=1e-8, n=2048, p=5, kind="exp",
+                                   a=np.exp, b=lambda x: x)
+        tracemalloc.start()
+        try:
+            solve_smallest(K, M, SolverConfig(k=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < K.n * K.n * 8
+
+
+class TestUnresolvableModes:
+    def problem(self):
+        # p=5, N=8 at eps=1e-8: 30 dofs, the highest lambda near 2e17
+        return assemble_problem(epsilon=1e-8, n=8, p=5, kind="exp",
+                                a=np.exp, b=lambda x: x)
+
+    def test_all_modes_beyond_rounding_raise_k_too_large(self):
+        K, M, _ = self.problem()
+        with pytest.raises(KTooLarge, match="only 29 of the 30 modes"):
+            solve_smallest(K, M, SolverConfig(k=K.n))
+
+    def test_resolvable_modes_still_solve(self):
+        K, M, _ = self.problem()
+        spec = solve_smallest(K, M, SolverConfig(k=K.n - 1))
+        assert np.all(spec.eigenvalues > 0.0)
 
 
 class TestClampedBeamLimit:
@@ -194,17 +217,11 @@ class TestValidation:
             solve_smallest(K, M, SolverConfig(k=1))
 
     @pytest.mark.parametrize("kw", [
-        dict(k=0), dict(k=1, tol=0.0), dict(k=1, max_iter=0),
+        dict(k=0), dict(k=1, tol=0.0),
     ])
     def test_bad_config(self, kw):
         with pytest.raises(InvalidSpec):
             SolverConfig(**kw)
-
-    def test_method_coercion(self):
-        cfg = SolverConfig(k=1, method="shift-invert")
-        assert cfg.method is Method.SHIFT_INVERT
-        with pytest.raises((InvalidSpec, ValueError)):
-            SolverConfig(k=1, method="qr")
 
     def test_spectrum_arrays_read_only(self):
         K, M, _ = assemble_problem()
