@@ -12,7 +12,6 @@ integrated exactly on the union of the two meshes involved.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,8 +22,9 @@ from .assembly import CoefficientSet, FEFunction, assemble
 from .eigensolver import SolverConfig, Spectrum, solve_smallest
 from .element import (HermiteData, eval_layer_function, gauss_rule,
                       hermite_interpolant, shape_table)
-from .errors import (AmbiguousSign, AssumptionViolated, InvalidLayerWidth,
-                     InvalidSpec, NonpositiveError, TooFewPoints, ZeroVector)
+from .errors import (AmbiguousSign, AssumptionViolated, DimensionMismatch,
+                     InvalidLayerWidth, InvalidSpec, NonpositiveError,
+                     TooFewPoints, ZeroVector)
 from .mesh import Mesh, MeshKind, MeshSpec, build_mesh
 
 SIGN_RTOL = 1e-8
@@ -69,13 +69,13 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction,
     x = (breaks[:-1, None] + widths[:, None] * rule.points[None, :]).ravel()
     w = (widths[:, None] * rule.weights[None, :]).ravel()
 
+    dh = u_h(x, (0, 1, 2))
+    dr = u_ref(x, (0, 1, 2))
     err_sq = 0.0
     ref_sq = 0.0
-    for deriv, factor in ((0, 1.0), (1, 1.0), (2, epsilon**2)):
-        dh = u_h(x, deriv)
-        dr = u_ref(x, deriv)
-        err_sq += factor * float(w @ (dh - dr) ** 2)
-        ref_sq += factor * float(w @ dr**2)
+    for j, factor in enumerate((1.0, 1.0, epsilon**2)):
+        err_sq += factor * float(w @ (dh[:, j] - dr[:, j]) ** 2)
+        ref_sq += factor * float(w @ dr[:, j]**2)
     if ref_sq <= 0.0:
         raise NonpositiveError("reference function has zero energy norm")
     return 100.0 * np.sqrt(err_sq / ref_sq)
@@ -104,15 +104,18 @@ def sample_points(mesh: Mesh, per_region: int = 1000) -> np.ndarray:
     return np.unique(np.concatenate([pts, mesh.nodes]))
 
 
-def discrete_max_error(u_h: Callable, u_ref: Callable,
-                       points: np.ndarray, deriv: int = 0) -> float:
-    """Percent sup-norm error over the given points, relative to the sup of
-    the reference there."""
-    points = np.asarray(points, dtype=float)
-    if points.size < 2:
-        raise TooFewPoints(f"got {points.size} evaluation points")
-    dh = u_h(points, deriv)
-    dr = u_ref(points, deriv)
+def discrete_max_error(u_h_samples: np.ndarray,
+                       ref_samples: np.ndarray) -> float:
+    """Percent sup-norm error of samples of u_h against samples of the
+    reference at the same points, relative to the sup of the reference
+    there."""
+    dh = np.asarray(u_h_samples, dtype=float)
+    dr = np.asarray(ref_samples, dtype=float)
+    if dh.shape != dr.shape:
+        raise DimensionMismatch(f"sample shapes {dh.shape} and {dr.shape} "
+                                "differ")
+    if dr.size < 2:
+        raise TooFewPoints(f"got {dr.size} evaluation points")
     denom = float(np.abs(dr).max())
     if denom <= 0.0:
         raise NonpositiveError("reference is identically zero on the samples")
@@ -301,12 +304,8 @@ class StudyRecord:
 CSV_COLUMNS = ("mesh_kind", "epsilon", "p", "N", "dof", "mode", "lambda_h",
                "lambda_err_pct", "energy_err_pct", "maxnorm_u_pct",
                "maxnorm_du_pct")
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+CSV_KINDS = (str, float, int, int, int, int, float, float, float, float,
+             float)
 
 
 ERROR_METRICS = ("lambda_err_pct", "energy_err_pct",
@@ -330,14 +329,6 @@ class StudyReport:
 
     def order(self, mode: int, metric: str, vs: str = "N") -> SlopeFit:
         return fit_slope(*self.series(mode, metric, vs))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.records:
-                writer.writerow([_format_value(getattr(r, c))
-                                 for c in CSV_COLUMNS])
 
     def slope_blocks(self, vs: str = "dof") -> dict:
         """Fitted orders per metric and mode, skipping series the fit
@@ -403,7 +394,11 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
             u_h = FEFunction.from_dof_vector(mesh, dofmap,
                                              spectrum.eigenvectors[:, m])
             u_ref = reference.functions[m]
-            sign = align_sign(u_h(pts), u_ref(pts))
+            # columns u, u' at pts; flipping the samples' sign is exact
+            dh = u_h(pts, (0, 1))
+            dr = u_ref(pts, (0, 1))
+            sign = align_sign(dh[:, 0], dr[:, 0])
+            dh *= sign
             u_h = FEFunction(mesh=mesh, p=p,
                              node_values=sign * u_h.node_values,
                              node_slopes=sign * u_h.node_slopes,
@@ -419,8 +414,8 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
                 lambda_h=lam,
                 lambda_err_pct=100.0 * abs(lam - lam_ref[m]) / abs(lam_ref[m]),
                 energy_err_pct=energy_norm_error(u_h, u_ref, epsilon),
-                maxnorm_u_pct=discrete_max_error(u_h, u_ref, pts, 0),
-                maxnorm_du_pct=discrete_max_error(u_h, u_ref, pts, 1),
+                maxnorm_u_pct=discrete_max_error(dh[:, 0], dr[:, 0]),
+                maxnorm_du_pct=discrete_max_error(dh[:, 1], dr[:, 1]),
             )
             records.append(record)
             if on_record is not None:

@@ -296,18 +296,35 @@ class FEFunction:
         return cls(mesh=mesh, p=dofmap.p, node_values=values,
                    node_slopes=slopes, bubbles=bubbles)
 
-    def __call__(self, x, deriv: int = 0):
+    def __call__(self, x, deriv=0):
+        """Values (deriv=0) or a derivative at the points x.
+
+        deriv may also be a tuple of orders: the points are then located
+        once and the result has shape (len(x), len(deriv)), one column per
+        order, each equal to the single-order call.  The columns are
+        contiguous (Fortran order).
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         nodes = self.mesh.nodes
         e = np.clip(np.searchsorted(nodes, x, side="right") - 1,
                     0, self.mesh.n_elements - 1)
         h = self.mesh.widths[e]
         s = (x - nodes[e]) / h
-        basis = hermite_basis(self.p, s, deriv)
-        out = (self.node_values[e] * basis[0]
-               + h * self.node_slopes[e] * basis[1]
-               + self.node_values[e + 1] * basis[2]
-               + h * self.node_slopes[e + 1] * basis[3])
-        for m in range(self.p - 3):
-            out += self.bubbles[e, m] * basis[4 + m]
-        return out / h**deriv
+        v0, v1 = self.node_values[e], self.node_values[e + 1]
+        hs0, hs1 = h * self.node_slopes[e], h * self.node_slopes[e + 1]
+        bubbles = self.bubbles[e]
+
+        def column(d):
+            basis = hermite_basis(self.p, s, d)
+            out = v0 * basis[0] + hs0 * basis[1] + v1 * basis[2] \
+                + hs1 * basis[3]
+            for m in range(self.p - 3):
+                out += bubbles[:, m] * basis[4 + m]
+            return out / h**d
+
+        if np.ndim(deriv) == 0:
+            return column(deriv)
+        out = np.empty((len(x), len(deriv)), order="F")
+        for j, d in enumerate(deriv):
+            out[:, j] = column(d)
+        return out

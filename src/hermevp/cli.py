@@ -20,16 +20,16 @@ call; this module only parses options and formats output.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (StudyRecord, convergence_study, fit_slope,
-                       interp_rate_study)
+from .analysis import (CSV_COLUMNS, CSV_KINDS, StudyRecord,
+                       convergence_study, interp_rate_study)
 from .assembly import CoefficientSet, FEFunction, assemble
+from .csvout import CsvWriter, format_floats, write_csv
 from .eigensolver import SolverConfig, solve_smallest
 from .element import shape_table
 from .errors import CoefficientViolation, HermevpError, InvalidSpec
@@ -179,20 +179,9 @@ class _Options:
         return default
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _build_problem(opts: _Options, default_modes: int = 1) -> ProblemConfig:
@@ -220,21 +209,20 @@ def cmd_solve(config: ProblemConfig) -> int:
     K, M, dofmap = assemble(mesh, shape_table(config.p), config.coeffs)
     spectrum = solve_smallest(K, M, config.solver)
 
-    rows = [(m + 1, _fmt(spectrum.eigenvalues[m]), _fmt(spectrum.residuals[m]))
+    rows = [(m + 1, spectrum.eigenvalues[m], spectrum.residuals[m])
             for m in range(config.modes)]
-    _write_csv(os.path.join(config.out, "eigenvalues.csv"),
-               ("mode", "lambda", "residual"), rows)
+    write_csv(os.path.join(config.out, "eigenvalues.csv"),
+              ("mode", "lambda", "residual"), (int, float, float), rows)
 
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), mesh.nodes]))
+    x_fields = format_floats(xs.tolist())
     for m in range(config.modes):
         u = FEFunction.from_dof_vector(mesh, dofmap,
                                        spectrum.eigenvectors[:, m])
-        vals = u(xs)
-        ders = u(xs, deriv=1)
-        _write_csv(os.path.join(config.out, f"mode_{m + 1}.csv"),
-                   ("x", "u", "du"),
-                   [(_fmt(x), _fmt(v), _fmt(d))
-                    for x, v, d in zip(xs, vals, ders)])
+        u_du = u(xs, (0, 1))
+        write_csv(os.path.join(config.out, f"mode_{m + 1}.csv"),
+                  ("x", "u", "du"), (str, float, float),
+                  zip(x_fields, u_du[:, 0].tolist(), u_du[:, 1].tolist()))
 
     print(f"mesh {config.mesh.value}, N={config.n}, p={config.p}, "
           f"epsilon={config.epsilon:g}, dof={dofmap.n_free}")
@@ -269,23 +257,15 @@ def cmd_convergence(opts: _Options) -> int:
     b_expr = opts.get("b_expr", str, None)
     out = _ensure_out(opts.get("out", str, "."))
 
-    from .analysis import CSV_COLUMNS
-
     for eps in eps_values:
         coeffs = resolve_coefficients(preset, a_expr, b_expr, eps)
         stem = os.path.join(out, f"study_eps{eps:g}")
         csv_path = stem + ".csv"
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
+            writer = CsvWriter(fh, CSV_COLUMNS, CSV_KINDS)
 
             def flush(rec: StudyRecord, writer=writer, fh=fh):
-                writer.writerow([
-                    rec.mesh_kind, _fmt(rec.epsilon), rec.p, rec.N, rec.dof,
-                    rec.mode, _fmt(rec.lambda_h), _fmt(rec.lambda_err_pct),
-                    _fmt(rec.energy_err_pct), _fmt(rec.maxnorm_u_pct),
-                    _fmt(rec.maxnorm_du_pct),
-                ])
+                writer.writerow([getattr(rec, c) for c in CSV_COLUMNS])
                 fh.flush()
 
             try:
@@ -321,12 +301,13 @@ def cmd_interp_study(opts: _Options) -> int:
     out = _ensure_out(opts.get("out", str, "."))
 
     report = interp_rate_study(kind, epsilon, beta, p, n_values)
-    rows = [(report.mesh_kind.value, _fmt(report.epsilon), _fmt(report.beta),
-             report.p, r.n_elements, _fmt(r.max_err), _fmt(r.max_err_d1),
-             _fmt(r.scaled_h2_err)) for r in report.records]
+    rows = [(report.mesh_kind.value, report.epsilon, report.beta, report.p,
+             r.n_elements, r.max_err, r.max_err_d1, r.scaled_h2_err)
+            for r in report.records]
     path = os.path.join(out, "interp.csv")
-    _write_csv(path, ("mesh_kind", "epsilon", "beta", "p", "N", "max_err",
-                      "max_err_d1", "scaled_h2_err"), rows)
+    write_csv(path, ("mesh_kind", "epsilon", "beta", "p", "N", "max_err",
+                     "max_err_d1", "scaled_h2_err"),
+              (str, float, float, int, int, float, float, float), rows)
     print(f"interpolation ladder for exp(-beta x/eps), "
           f"epsilon={epsilon:g}, p={p} -> {path}")
     for metric, label in (("max_err", "value (ell=0)"),
@@ -375,14 +356,14 @@ def cmd_table1(opts: _Options) -> int:
     for m in range(modes):
         for j, n in enumerate(TABLE_N_LADDER):
             bench = BENCHMARK_EIGENVALUES[m + 1][j]
-            dev = "" if bench is None else \
-                _fmt(100.0 * abs(lambdas[m, j] - bench) / bench)
-            rows.append((m + 1, n, dofs[j], _fmt(lambdas[m, j]),
-                         BENCHMARK_DOF[j],
-                         "" if bench is None else _fmt(bench), dev))
+            dev = None if bench is None else \
+                100.0 * abs(lambdas[m, j] - bench) / bench
+            rows.append((m + 1, n, dofs[j], lambdas[m, j], BENCHMARK_DOF[j],
+                         bench, dev))
     path = os.path.join(out, "table1.csv")
-    _write_csv(path, ("mode", "N", "dof", "lambda_h", "benchmark_dof",
-                      "benchmark_lambda", "rel_dev_pct"), rows)
+    write_csv(path, ("mode", "N", "dof", "lambda_h", "benchmark_dof",
+                     "benchmark_lambda", "rel_dev_pct"),
+              (int, int, int, float, int, float, float), rows)
 
     print("finest-resolution comparison:")
     for m in range(modes):

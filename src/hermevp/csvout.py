@@ -1,0 +1,66 @@
+"""The one CSV format every hermevp output file uses.
+
+A header row, then one row per record; fields are separated by ``,`` and
+rows end in ``\\r\\n``.  Floats are written with 17 significant digits
+(``%.17g``), enough to round-trip every double, so reruns are byte-for-byte
+diffable; ints and strings are written as ``str`` gives them, and ``None``
+as an empty field.  Fields are never quoted, so strings must not hold
+``,``, ``"`` or line breaks; every string hermevp writes is a fixed name
+such as a mesh kind or a region.  The bytes equal those of ``csv.writer``
+given the same fields with each float preformatted as ``%.17g``.
+"""
+
+from __future__ import annotations
+
+ROW_END = "\r\n"
+FLOAT_FIELD = "%.17g"
+
+
+def _field(kind) -> str:
+    return FLOAT_FIELD if kind is float else "%s"
+
+
+def format_floats(values) -> list:
+    """The field text of each float, for a column several files share:
+    written as a str column, it is formatted once instead of per file."""
+    return [FLOAT_FIELD % v for v in values]
+
+
+def _row_format(kinds) -> str:
+    """%-format string of one row, one field per column kind; floats as
+    %.17g and every other kind as %s."""
+    return ",".join(map(_field, kinds)) + ROW_END
+
+
+class CsvWriter:
+    """Writes the header on construction, then rows of the given column
+    kinds (float, int or str) to an open text file."""
+
+    def __init__(self, fh, header, kinds):
+        self.fh = fh
+        self.kinds = tuple(kinds)
+        self.fmt = _row_format(self.kinds)
+        fh.write(",".join(header) + ROW_END)
+
+    def _blank_line(self, row) -> str:
+        # blank cells drop out of the format along with their values
+        fields = ["" if v is None else _field(k)
+                  for k, v in zip(self.kinds, row)]
+        return (",".join(fields) + ROW_END) % tuple(
+            v for v in row if v is not None)
+
+    def writerows(self, rows) -> None:
+        """Rows as sequences of Python values, one per column."""
+        fmt = self.fmt
+        self.fh.write("".join([
+            fmt % tuple(row) if None not in row else self._blank_line(row)
+            for row in rows]))
+
+    def writerow(self, row) -> None:
+        self.writerows((row,))
+
+
+def write_csv(path, header, kinds, rows) -> None:
+    """Write a whole CSV file: header, then rows (see CsvWriter)."""
+    with open(path, "w", newline="") as fh:
+        CsvWriter(fh, header, kinds).writerows(rows)

@@ -71,6 +71,17 @@ def _basis_coeffs(p: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _deriv_coeffs(p: int, deriv: int) -> np.ndarray:
+    """Power-basis coefficients of the deriv-th derivative of the reference
+    shapes; read-only, since every caller shares the cached table."""
+    coeffs = _basis_coeffs(p)
+    for _ in range(deriv):
+        coeffs = nppoly.polyder(coeffs, axis=1)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def hermite_basis(p: int, s, deriv: int = 0) -> np.ndarray:
     """Evaluate all p+1 reference shapes (or a derivative) at points s.
 
@@ -80,9 +91,7 @@ def hermite_basis(p: int, s, deriv: int = 0) -> np.ndarray:
     """
     if deriv < 0:
         raise InvalidSpec(f"derivative order must be >= 0, got {deriv}")
-    coeffs = _basis_coeffs(p)
-    for _ in range(deriv):
-        coeffs = nppoly.polyder(coeffs, axis=1)
+    coeffs = _deriv_coeffs(p, deriv)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     # Horner along the coefficient axis
     out = np.zeros((p + 1, len(s)))

@@ -14,13 +14,13 @@ the mirror symmetry x_j + x_{N-j} = 1 exact to rounding.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .csvout import write_csv
 from .errors import InvalidSpec, RegionOverlap, WrongMeshKind
 
 
@@ -131,7 +131,14 @@ def _finish(spec: MeshSpec, nodes: np.ndarray, regions) -> Mesh:
     nodes = nodes + 0.0  # normalize -0.0 at the left endpoint
     widths = np.diff(nodes)
     if np.any(widths <= 0.0):
-        raise InvalidSpec("mesh nodes are not strictly increasing")
+        # the left layer sits near 0, where doubles are dense; its mirror
+        # 1 - x_j is where nodes run out of distinct values first
+        raise InvalidSpec(
+            f"mesh nodes are not strictly increasing: epsilon = "
+            f"{spec.epsilon:g} is too small for N = {spec.n_elements}, the "
+            f"right-layer nodes 1 - x_j collapse because doubles near 1 are "
+            f"np.spacing(1.0) = {np.spacing(1.0):.2g} apart"
+        )
     return Mesh(spec=spec, nodes=nodes, widths=widths, regions=tuple(regions))
 
 
@@ -264,9 +271,6 @@ def check_mesh_bounds(mesh: Mesh) -> BoundsReport:
 
 def mesh_to_csv(mesh: Mesh, path) -> None:
     """One row per node: (index, x, region of the element to its right)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "region_right"])
-        for i, x in enumerate(mesh.nodes):
-            region = mesh.regions[i].value if i < mesh.n_elements else "-"
-            writer.writerow([i, format(x, ".17g"), region])
+    regions = [r.value for r in mesh.regions] + ["-"]
+    write_csv(path, ("index", "x", "region_right"), (int, float, str),
+              zip(range(len(mesh.nodes)), mesh.nodes.tolist(), regions))

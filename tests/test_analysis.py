@@ -10,8 +10,9 @@ from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
                      compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
                      energy_norm_error, fit_slope, fit_slope_tail,
-                     interp_rate_study, sample_points)
-from hermevp.analysis import CSV_COLUMNS, ERROR_METRICS
+                     gauss_rule, interp_rate_study, sample_points)
+from hermevp.analysis import CSV_COLUMNS, CSV_KINDS, ERROR_METRICS
+from hermevp.csvout import write_csv
 
 
 def make_function(n=4, seed=0, scale=1.0, p=3):
@@ -67,25 +68,52 @@ class TestEnergyNormError:
                           node_slopes=coarse(fine_mesh.nodes, deriv=1))
         assert energy_norm_error(fine, coarse, epsilon=0.3) < 1e-10
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_equals_per_derivative_loop(self, p):
+        # one fused (0, 1, 2) evaluation per function must reproduce the
+        # loop of single-order calls bit for bit
+        u_ref = make_function(n=24, seed=7, p=p)
+        u_h = make_function(n=16, seed=8, p=p)
+        rng = np.random.default_rng(9)
+        u_ref.bubbles[:] = rng.standard_normal(u_ref.bubbles.shape)
+        u_h.bubbles[:] = rng.standard_normal(u_h.bubbles.shape)
+        epsilon = 0.3
+
+        breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
+        breaks = breaks[np.concatenate([[True], np.diff(breaks) > 1e-14])]
+        rule = gauss_rule(2 * p)
+        widths = np.diff(breaks)
+        x = (breaks[:-1, None] + widths[:, None] * rule.points).ravel()
+        w = (widths[:, None] * rule.weights).ravel()
+        err_sq = ref_sq = 0.0
+        for deriv, factor in ((0, 1.0), (1, 1.0), (2, epsilon**2)):
+            dh = u_h(x, deriv)
+            dr = u_ref(x, deriv)
+            err_sq += factor * float(w @ (dh - dr) ** 2)
+            ref_sq += factor * float(w @ dr**2)
+        expect = 100.0 * np.sqrt(err_sq / ref_sq)
+        assert energy_norm_error(u_h, u_ref, epsilon) == expect
+
 
 class TestDiscreteMaxError:
     def test_proportional_functions(self):
         u_ref = make_function(seed=4)
         u_h = make_function(seed=4, scale=1.01)
         pts = np.linspace(0.0, 1.0, 101)
-        assert discrete_max_error(u_h, u_ref, pts) == pytest.approx(
+        assert discrete_max_error(u_h(pts), u_ref(pts)) == pytest.approx(
             1.0, rel=1e-12)
 
     def test_zero_reference_rejected(self):
         u_ref = make_function(seed=5, scale=0.0)
         u_h = make_function(seed=5)
+        pts = np.linspace(0, 1, 11)
         with pytest.raises(NonpositiveError):
-            discrete_max_error(u_h, u_ref, np.linspace(0, 1, 11))
+            discrete_max_error(u_h(pts), u_ref(pts))
 
     def test_needs_points(self):
         u = make_function(seed=6)
         with pytest.raises(TooFewPoints):
-            discrete_max_error(u, u, np.array([0.5]))
+            discrete_max_error(u(0.5), u(0.5))
 
 
 class TestSamplePoints:
@@ -223,7 +251,9 @@ class TestConvergenceStudy:
 
     def test_csv_roundtrip(self, study, tmp_path):
         path = tmp_path / "study.csv"
-        study.to_csv(path)
+        write_csv(path, CSV_COLUMNS, CSV_KINDS,
+                  [[getattr(r, c) for c in CSV_COLUMNS]
+                   for r in study.records])
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6

@@ -6,7 +6,7 @@ from hermevp import (CoefficientSet, CoefficientViolation, DimensionMismatch,
                      FEFunction, InvalidSpec, MeshSpec, SymBandMatrix,
                      ZeroVector, assemble, build_dof_map, build_mesh,
                      element_matrices, energy_inner_product, gauss_rule,
-                     rayleigh_quotient, shape_table)
+                     hermite_basis, rayleigh_quotient, shape_table)
 
 
 def symbolic_shape_functions(p):
@@ -397,3 +397,37 @@ class TestFEFunction:
         inside = u(np.array([0.375]))
         assert abs(inside[0]) > 1e-4
         assert np.max(np.abs(u(mesh.nodes))) < 1e-15
+
+    @staticmethod
+    def per_point_reference(u, x, deriv):
+        # the single-order evaluation, in its own operation order
+        e = np.clip(np.searchsorted(u.mesh.nodes, x, side="right") - 1,
+                    0, u.mesh.n_elements - 1)
+        h = u.mesh.widths[e]
+        basis = hermite_basis(u.p, (x - u.mesh.nodes[e]) / h, deriv)
+        out = (u.node_values[e] * basis[0]
+               + h * u.node_slopes[e] * basis[1]
+               + u.node_values[e + 1] * basis[2]
+               + h * u.node_slopes[e + 1] * basis[3])
+        for m in range(u.p - 3):
+            out += u.bubbles[e, m] * basis[4 + m]
+        return out / h**deriv
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_tuple_deriv_columns_equal_single_calls(self, p):
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
+                                   n_elements=16, kind="exp"))
+        _, _, dofmap = assemble(mesh, shape_table(p), default_coeffs())
+        rng = np.random.default_rng(p)
+        u = FEFunction.from_dof_vector(mesh, dofmap,
+                                       rng.standard_normal(dofmap.n_free))
+        x = np.concatenate([[0.0, 1.0], mesh.nodes, rng.random(500)])
+        derivs = (0, 1, 2)
+        cols = u(x, derivs)
+        assert cols.shape == (len(x), len(derivs))
+        for j, d in enumerate(derivs):
+            single = u(x, d)
+            assert single.ndim == 1
+            assert np.array_equal(cols[:, j], single)
+            assert np.array_equal(single, self.per_point_reference(u, x, d))
+        assert np.array_equal(u(x, (1,))[:, 0], u(x, deriv=1))

@@ -114,6 +114,14 @@ class TestExitCodes:
         assert rc == 6
         assert err.startswith("error: KTooLarge: only 29 of the 30 modes")
 
+    def test_epsilon_too_small_for_mesh(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "mesh-dump", "--p", "3", "--n", "64",
+                         "--epsilon", "1e-16", "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert "epsilon = 1e-16" in err and "N = 64" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestCoefficientExpressions:
     def test_forbidden_names_rejected(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ def dense_oracle(K, M, k):
     return lams[:k]
 
 
-class TestDenseReduce:
+class TestSolveSmallest:
     @pytest.mark.parametrize("problem", [
         dict(epsilon=1.0, n=4, p=3),
         dict(epsilon=0.1, n=6, p=3, a=np.exp, b=lambda x: x),

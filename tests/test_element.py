@@ -74,6 +74,19 @@ class TestHermiteBasis:
         with pytest.raises(InvalidSpec):
             hermite_basis(3, np.array([0.5]), deriv=-1)
 
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_cached_derivative_tables_read_only_and_exact(self, p):
+        from numpy.polynomial import polynomial as nppoly
+        from hermevp.element import _basis_coeffs, _deriv_coeffs
+        for deriv in range(4):
+            table = _deriv_coeffs(p, deriv)
+            assert not table.flags.writeable
+            expect = _basis_coeffs(p)
+            for _ in range(deriv):
+                expect = nppoly.polyder(expect, axis=1)
+            assert np.array_equal(table, expect)
+            assert _deriv_coeffs(p, deriv) is table
+
     def test_basis_spans_monomials(self):
         # A degree-p basis on [0, 1] must reproduce every monomial s^k.
         p = 5

@@ -232,6 +232,25 @@ class TestMeshBounds:
             assert max(scaled) < 4.0
 
 
+class TestTinyEpsilon:
+    @pytest.mark.parametrize("kind", ["exp", "shishkin"])
+    def test_collapsed_right_layer_named(self, kind):
+        # doubles near 1 are 2.2e-16 apart, so the nodes 1 - x_j of the
+        # right layer coincide once eps*ln(N) reaches that scale
+        with pytest.raises(InvalidSpec) as info:
+            build_mesh(MeshSpec(epsilon=1e-16, beta=1.0, p=3, n_elements=64,
+                                kind=kind))
+        msg = str(info.value)
+        assert "epsilon = 1e-16" in msg and "N = 64" in msg
+        assert "right-layer nodes" in msg and "np.spacing(1.0)" in msg
+
+    @pytest.mark.parametrize("kind", ["exp", "shishkin"])
+    def test_coarse_mesh_still_builds(self, kind):
+        mesh = build_mesh(MeshSpec(epsilon=1e-16, beta=1.0, p=3,
+                                   n_elements=8, kind=kind))
+        assert np.all(mesh.widths > 0.0)
+
+
 class TestMeshSerialization:
     def test_csv_roundtrip(self, tmp_path):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=3,
