@@ -53,17 +53,11 @@ def align_sign(u_samples: np.ndarray, ref_samples: np.ndarray) -> float:
     return 1.0 if ip > 0.0 else -1.0
 
 
-def _union_breaks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    u = np.union1d(a, b)
-    keep = np.concatenate([[True], np.diff(u) > 1e-14])
-    return u[keep]
-
-
 def energy_norm_error(u_h: FEFunction, u_ref: FEFunction,
                       epsilon: float, n_gauss: int = None) -> float:
     """Percent error |||u_h - u_ref||| / |||u_ref||| * 100, integrated with
     Gauss quadrature on the union of the two meshes."""
-    breaks = _union_breaks(u_h.mesh.nodes, u_ref.mesh.nodes)
+    breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
     rule = gauss_rule(n_gauss or 2 * max(u_h.p, u_ref.p))
     widths = np.diff(breaks)
     x = (breaks[:-1, None] + widths[:, None] * rule.points[None, :]).ravel()

@@ -105,14 +105,6 @@ class SymBandMatrix:
             rows[d:] += diag
         return float(rows.max())
 
-    def dump(self, path) -> None:
-        """Write stored band entries as 'row col value' lines (i <= j)."""
-        with open(path, "w") as fh:
-            for j in range(self.n):
-                for d in range(min(self.bandwidth, j) + 1):
-                    i = j - d
-                    fh.write(f"{i} {j} {self.band[self.bandwidth - d, j]:.17g}\n")
-
 
 @dataclass(frozen=True)
 class DofMap:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,21 +112,6 @@ def resolve_coefficients(preset: str, a_expr: str, b_expr: str,
                           a_floor=a_min * (1.0 - 1e-9))
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
-    """One resolved solve request."""
-
-    epsilon: float
-    beta: float
-    p: int
-    n: int
-    mesh: MeshKind
-    modes: int
-    coeffs: CoefficientSet
-    solver: SolverConfig
-    out: str
-
-
 def read_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
     values = {}
@@ -173,7 +157,7 @@ class _Options:
     def get(self, key: str, cast, default=None):
         flag = getattr(self.ns, key, None)
         if flag is not None:
-            return cast(flag) if isinstance(flag, str) else flag
+            return cast(flag)
         if key in self.file:
             return cast(self.file[key])
         return default
@@ -184,13 +168,13 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _build_problem(opts: _Options, default_modes: int = 1) -> ProblemConfig:
+def cmd_solve(opts: _Options) -> int:
     epsilon = opts.get("epsilon", float, 1e-6)
     beta = opts.get("beta", float, 1.0)
     p = opts.get("p", int, 3)
     n = opts.get("n", int, 64)
     kind = MeshKind(opts.get("mesh", str, "exp"))
-    modes = opts.get("modes", int, default_modes)
+    modes = opts.get("modes", int, 1)
     tol = opts.get("tol", float, 1e-11)
     preset = opts.get("preset", str, "expx")
     a_expr = opts.get("a_expr", str, None)
@@ -198,54 +182,44 @@ def _build_problem(opts: _Options, default_modes: int = 1) -> ProblemConfig:
     out = _ensure_out(opts.get("out", str, "."))
     coeffs = resolve_coefficients(preset, a_expr, b_expr, epsilon)
     solver = SolverConfig(k=modes, tol=tol)
-    return ProblemConfig(epsilon=epsilon, beta=beta, p=p, n=n, mesh=kind,
-                         modes=modes, coeffs=coeffs, solver=solver, out=out)
 
-
-def cmd_solve(config: ProblemConfig) -> int:
-    spec = MeshSpec(epsilon=config.epsilon, beta=config.beta, p=config.p,
-                    n_elements=config.n, kind=config.mesh)
-    mesh = build_mesh(spec)
-    K, M, dofmap = assemble(mesh, shape_table(config.p), config.coeffs)
-    spectrum = solve_smallest(K, M, config.solver)
+    mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
+                               n_elements=n, kind=kind))
+    K, M, dofmap = assemble(mesh, shape_table(p), coeffs)
+    spectrum = solve_smallest(K, M, solver)
 
     rows = [(m + 1, spectrum.eigenvalues[m], spectrum.residuals[m])
-            for m in range(config.modes)]
-    write_csv(os.path.join(config.out, "eigenvalues.csv"),
+            for m in range(modes)]
+    write_csv(os.path.join(out, "eigenvalues.csv"),
               ("mode", "lambda", "residual"), (int, float, float), rows)
 
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), mesh.nodes]))
     x_fields = format_floats(xs.tolist())
-    for m in range(config.modes):
+    for m in range(modes):
         u = FEFunction.from_dof_vector(mesh, dofmap,
                                        spectrum.eigenvectors[:, m])
         u_du = u(xs, (0, 1))
-        write_csv(os.path.join(config.out, f"mode_{m + 1}.csv"),
+        write_csv(os.path.join(out, f"mode_{m + 1}.csv"),
                   ("x", "u", "du"), (str, float, float),
                   zip(x_fields, u_du[:, 0].tolist(), u_du[:, 1].tolist()))
 
-    print(f"mesh {config.mesh.value}, N={config.n}, p={config.p}, "
-          f"epsilon={config.epsilon:g}, dof={dofmap.n_free}")
-    for m in range(config.modes):
+    print(f"mesh {kind.value}, N={n}, p={p}, epsilon={epsilon:g}, "
+          f"dof={dofmap.n_free}")
+    for m in range(modes):
         flag = " (clustered)" if spectrum.clustered[m] else ""
         print(f"  lambda_{m + 1} = {spectrum.eigenvalues[m]:.12g}"
               f"   residual {spectrum.residuals[m]:.2e}{flag}")
-    print(f"wrote eigenvalues.csv and {config.modes} mode file(s) "
-          f"to {config.out}")
+    print(f"wrote eigenvalues.csv and {modes} mode file(s) to {out}")
     return 0
 
 
 def cmd_convergence(opts: _Options) -> int:
     n_values = opts.get("n", _int_list, [16, 32, 64, 128])
-    if isinstance(n_values, int):
-        n_values = [n_values]
     if len(n_values) < 3:
         raise InvalidSpec(f"need at least 3 mesh sizes, got {n_values}")
     if sorted(n_values) != list(n_values):
         raise InvalidSpec(f"mesh sizes must be ascending, got {n_values}")
     eps_values = opts.get("epsilon", _float_list, [1e-6])
-    if isinstance(eps_values, float):
-        eps_values = [eps_values]
     beta = opts.get("beta", float, 1.0)
     p = opts.get("p", int, 3)
     kind = MeshKind(opts.get("mesh", str, "exp"))
@@ -295,8 +269,6 @@ def cmd_interp_study(opts: _Options) -> int:
     beta = opts.get("beta", float, 1.0)
     p = opts.get("p", int, 3)
     n_values = opts.get("n", _int_list, [16, 32, 64, 128])
-    if isinstance(n_values, int):
-        n_values = [n_values]
     kind = opts.get("mesh", str, "exp")
     out = _ensure_out(opts.get("out", str, "."))
 
@@ -461,7 +433,7 @@ def main(argv=None) -> int:
     try:
         opts = _Options(ns)
         if ns.command == "solve":
-            return cmd_solve(_build_problem(opts))
+            return cmd_solve(opts)
         if ns.command == "convergence":
             return cmd_convergence(opts)
         if ns.command == "interp-study":

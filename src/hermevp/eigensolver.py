@@ -6,20 +6,17 @@ around 1e9 on layer-adapted meshes, while M scales with h.  Reducing to an
 ordinary eigenproblem via a Cholesky factor of M would put that 1e9 onto
 the reduced matrix and cost the small eigenvalues most of their digits.
 
-solve_smallest therefore works with mu = 1 / lambda: it factors the band
-of K = R^T R once and hands banded solves with that factor to ARPACK's
-shift-invert Lanczos (scipy.sparse.linalg.eigsh, sigma = 0), so the
-smallest lambda become the largest mu of K^{-1} M and are recovered with
-near machine relative accuracy.  No dense n x n matrix is formed; the cost
-is one band factorization plus banded solves and products.
+solve_smallest therefore works with mu = 1 / lambda.  It factors the band
+of K = R^T R once and reduces the pencil to the standard problem
 
-ARPACK cannot return all n pairs, so k = n goes through the dense
-reduction
+    C y = mu y,    C = R^{-T} M R^{-1},    u = R^{-1} y,
 
-    R^{-T} M R^{-1} y = mu y,
-
-whose largest mu are again the smallest lambda.  The tests use the same
-reduction as their oracle.
+whose largest mu are the smallest lambda, recovered with near machine
+relative accuracy.  For k < n, C is applied as an operator (two banded
+triangular solves and one band product) in ARPACK's standard-mode
+Lanczos (scipy.sparse.linalg.eigsh, which="LA"), so no dense n x n matrix
+is formed.  ARPACK cannot return all n pairs, so k = n forms C densely and
+calls eigh; the tests use that dense path as their oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import cholesky_banded, eigh
 from scipy.linalg.lapack import dtbtrs
 
 from .assembly import SymBandMatrix
@@ -58,8 +55,8 @@ class Spectrum:
         ||K u - lambda M u|| / ((||K||_inf + |lambda| ||M||_inf) ||u||)
     per mode.  clustered flags eigenvalues whose neighbor gap is below
     CLUSTER_RTOL relatively; those eigenVECTORS are only defined up to
-    rotation within the cluster.  iterations is the number of banded solves
-    with the factor of K that Lanczos took, and 1 for the dense reduction
+    rotation within the cluster.  iterations is the number of applications
+    of C = R^{-T} M R^{-1} that Lanczos took, and 1 for the dense reduction
     that serves k = n.
     """
 
@@ -134,55 +131,53 @@ def _tri_solve(rband: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     return x
 
 
+def _reduced_pairs(rband: np.ndarray, mu: np.ndarray, y: np.ndarray,
+                   k: int):
+    """The k largest mu of C and their y as lambda = 1/mu ascending and
+    u = R^{-1} y."""
+    sel = np.argsort(mu)[::-1][:k]                   # largest mu first
+    if np.any(mu[sel] <= 0.0):
+        raise KTooLarge(
+            f"only {int(np.sum(mu > 0.0))} of the {len(mu)} modes can be "
+            f"resolved: mu = 1/lambda of the highest modes falls below "
+            f"rounding error"
+        )
+    return 1.0 / mu[sel], _tri_solve(rband, y[:, sel], "N")
+
+
 def _solve_dense_reduce(K: SymBandMatrix, M: SymBandMatrix, k: int):
     rband = _factor_spd_band(K.band, "stiffness matrix")
     y = _tri_solve(rband, M.to_dense(), "T")         # R^{-T} M
     c = _tri_solve(rband, y.T, "T").T                # R^{-T} M R^{-1}
-    c = 0.5 * (c + c.T)
-    mu, z = eigh(c)
-    sel = np.argsort(mu)[::-1][:k]                   # largest mu first
-    if np.any(mu[sel] <= 0.0):
-        raise KTooLarge(
-            f"only {int(np.sum(mu > 0.0))} of the {K.n} modes can be "
-            f"resolved: mu = 1/lambda of the highest modes falls below "
-            f"rounding error"
-        )
-    lams = 1.0 / mu[sel]
-    vecs = _tri_solve(rband, z[:, sel], "N")         # u = R^{-1} y
-    return lams, vecs
+    mu, y = eigh(0.5 * (c + c.T))
+    return _reduced_pairs(rband, mu, y, k)
 
 
-def _solve_shift_invert(K: SymBandMatrix, M: SymBandMatrix,
-                        config: SolverConfig):
+def _solve_lanczos(K: SymBandMatrix, M: SymBandMatrix, config: SolverConfig):
     # imported here: scipy.sparse.linalg adds megabytes to every process
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh)
 
-    n = K.n
-    factor = _factor_spd_band(K.band, "stiffness matrix")
+    rband = _factor_spd_band(K.band, "stiffness matrix")
+    applications = 0
 
-    solves = 0
-
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return cho_solve_banded((factor, False), b)
-
-    def operator(matvec):
-        return LinearOperator((n, n), matvec=matvec, dtype=float)
+    def apply_c(x):
+        nonlocal applications
+        applications += 1
+        x = _tri_solve(rband, x, "N")                # R^{-1} x
+        return _tri_solve(rband, M.matvec(x), "T")   # R^{-T} M R^{-1} x
 
     try:
-        lams, vecs = eigsh(operator(K.matvec), k=config.k,
-                           M=operator(M.matvec), sigma=0.0,
-                           OPinv=operator(solve), v0=np.ones(n),
-                           tol=config.tol, maxiter=MAX_RESTARTS)
+        mu, y = eigsh(LinearOperator((K.n, K.n), matvec=apply_c, dtype=float),
+                      k=config.k, which="LA", v0=np.ones(K.n),
+                      tol=config.tol, maxiter=MAX_RESTARTS)
     except ArpackNoConvergence as exc:
         raise NoConvergence(
-            f"shift-invert Lanczos did not reach tol={config.tol} in "
-            f"{MAX_RESTARTS} restarts ({len(exc.eigenvalues)} of "
-            f"{config.k} modes converged)"
+            f"Lanczos did not reach tol={config.tol} in {MAX_RESTARTS} "
+            f"restarts ({len(exc.eigenvalues)} of {config.k} modes "
+            f"converged)"
         ) from exc
-    return lams, vecs, solves
+    return (*_reduced_pairs(rband, mu, y, config.k), applications)
 
 
 def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
@@ -198,11 +193,9 @@ def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
         lams, vecs = _solve_dense_reduce(K, M, config.k)
         iters = 1
     else:
-        lams, vecs, iters = _solve_shift_invert(K, M, config)
+        lams, vecs, iters = _solve_lanczos(K, M, config)
 
-    order = np.argsort(lams)
-    lams = np.ascontiguousarray(lams[order])
-    vecs = _m_normalize(M, vecs[:, order])
+    vecs = _m_normalize(M, vecs)
     res = residual_norms(K, M, lams, vecs)
     headroom = 1e2 * config.tol
     if np.any(res > headroom):

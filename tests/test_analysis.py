@@ -80,7 +80,6 @@ class TestEnergyNormError:
         epsilon = 0.3
 
         breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
-        breaks = breaks[np.concatenate([[True], np.diff(breaks) > 1e-14])]
         rule = gauss_rule(2 * p)
         widths = np.diff(breaks)
         x = (breaks[:-1, None] + widths[:, None] * rule.points).ravel()
@@ -93,6 +92,34 @@ class TestEnergyNormError:
             ref_sq += factor * float(w @ dr**2)
         expect = 100.0 * np.sqrt(err_sq / ref_sq)
         assert energy_norm_error(u_h, u_ref, epsilon) == expect
+
+    @pytest.mark.parametrize("kind", ["exp", "shishkin"])
+    def test_breaks_keep_every_layer_node(self, kind, monkeypatch):
+        # at eps = 1e-14 the finest layer elements are ~1e-16 wide; each
+        # interval of the union mesh must still get its own Gauss points
+        def layer_function(n):
+            mesh = build_mesh(MeshSpec(epsilon=1e-14, beta=1.0, p=3,
+                                       n_elements=n, kind=kind))
+            x = mesh.nodes
+            return FEFunction(mesh=mesh, p=3, node_values=x * (1.0 - x),
+                              node_slopes=1.0 - 2.0 * x)
+
+        u_h, u_ref = layer_function(16), layer_function(1024)
+        seen = []
+        call = FEFunction.__call__
+
+        def record(self, x, deriv=0):
+            seen.append(np.asarray(x))
+            return call(self, x, deriv)
+
+        monkeypatch.setattr(FEFunction, "__call__", record)
+        energy_norm_error(u_h, u_ref, epsilon=1e-14)
+        breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
+        nq = len(gauss_rule(6).points)
+        x = seen[0].reshape(-1, nq)
+        assert len(x) == len(breaks) - 1
+        assert np.all(x.min(axis=1) >= breaks[:-1])
+        assert np.all(x.max(axis=1) <= breaks[1:])
 
 
 class TestDiscreteMaxError:

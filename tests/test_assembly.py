@@ -189,17 +189,6 @@ class TestSymBandMatrix:
         expect = np.abs(A.to_dense()).sum(1).max()
         assert A.norm_inf() == pytest.approx(expect, rel=1e-14)
 
-    def test_dump_lists_stored_entries(self, tmp_path):
-        A = SymBandMatrix(4, 2)
-        A.scatter(np.array([0, 1, 2]), np.eye(3) + 1.0)
-        path = tmp_path / "mat.txt"
-        A.dump(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == sum(min(2, j) + 1 for j in range(4))
-        i, j, v = lines[0].split()
-        assert (i, j) == ("0", "0")
-        assert float(v) == 2.0
-
     def test_bad_shape_rejected(self):
         with pytest.raises(InvalidSpec):
             SymBandMatrix(0, 1)

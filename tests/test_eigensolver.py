@@ -78,6 +78,8 @@ class TestSolveSmallest:
 
 
 class TestShiftInvert:
+    """Standard-mode Lanczos on C = R^{-T} M R^{-1}, the path for k < n."""
+
     def test_agrees_with_dense_path(self):
         K, M, _ = assemble_problem(epsilon=1e-2, n=16, p=3, kind="exp")
         for k in (3, K.n):
@@ -157,6 +159,20 @@ class TestUnresolvableModes:
         K, M, _ = self.problem()
         spec = solve_smallest(K, M, SolverConfig(k=K.n - 1))
         assert np.all(spec.eigenvalues > 0.0)
+
+
+class TestReducedPairs:
+    def test_largest_mu_become_ascending_lambda(self):
+        rband = np.ones((1, 3))                      # R = I
+        mu = np.array([0.25, -1e-17, 0.5])
+        lams, vecs = eigensolver._reduced_pairs(rband, mu, np.eye(3), 2)
+        assert lams.tolist() == [2.0, 4.0]
+        assert np.array_equal(vecs, np.eye(3)[:, [2, 0]])
+
+    def test_nonpositive_mu_raise_k_too_large(self):
+        mu = np.array([0.25, -1e-17, 0.5])
+        with pytest.raises(KTooLarge, match="only 2 of the 3 modes"):
+            eigensolver._reduced_pairs(np.ones((1, 3)), mu, np.eye(3), 3)
 
 
 class TestClampedBeamLimit:
