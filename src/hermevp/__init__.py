@@ -11,11 +11,10 @@ from .analysis import (InterpRecord, InterpReport, ReferenceSolution,
                        SlopeFit, StudyRecord, StudyReport, align_sign,
                        compute_reference, convergence_study,
                        default_reference_n, discrete_max_error,
-                       energy_norm_error, fit_slope, fit_slope_tail,
-                       interp_rate_study, sample_points)
+                       energy_norm_error, fit_slope, interp_rate_study,
+                       sample_points)
 from .assembly import (CoefficientSet, DofMap, FEFunction, SymBandMatrix,
-                       assemble, build_dof_map, element_matrices,
-                       energy_inner_product, rayleigh_quotient)
+                       assemble, build_dof_map, element_matrices)
 from .eigensolver import (SolverConfig, Spectrum, residual_norms,
                           solve_smallest)
 from .element import (HermiteData, PiecewiseFunction, QuadRule, ShapeTable,
@@ -47,9 +46,8 @@ __all__ = [
     "build_exp_mesh", "build_mesh", "build_shishkin_mesh",
     "build_uniform_mesh", "check_mesh_bounds", "compute_reference",
     "convergence_study", "default_reference_n", "discrete_max_error",
-    "element_matrices", "energy_inner_product", "energy_norm_error",
-    "eval_layer_function", "fit_slope", "fit_slope_tail", "gauss_rule",
-    "hermite_basis", "hermite_interpolant", "interp_rate_study",
-    "mesh_to_csv", "rayleigh_quotient", "residual_norms",
-    "sample_points", "shape_table", "solve_smallest",
+    "element_matrices", "energy_norm_error", "eval_layer_function",
+    "fit_slope", "gauss_rule", "hermite_basis", "hermite_interpolant",
+    "interp_rate_study", "mesh_to_csv", "residual_norms", "sample_points",
+    "shape_table", "solve_smallest",
 ]

@@ -156,25 +156,6 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float]) -> SlopeFit:
                     max_log_residual=resid, ns=tuple(ns), errors=tuple(errors))
 
 
-def fit_slope_tail(ns: Sequence[float], errors: Sequence[float],
-                   max_residual: float = 0.25,
-                   min_points: int = 3) -> SlopeFit:
-    """fit_slope, dropping the coarsest points while the fit is poor.
-
-    Pre-asymptotic coarse levels can drag the fitted slope around; this
-    keeps removing them while the log residual exceeds max_residual and at
-    least min_points remain.
-    """
-    ns = list(ns)
-    errors = list(errors)
-    fit = fit_slope(ns, errors)
-    while fit.max_log_residual > max_residual and len(ns) > min_points:
-        ns = ns[1:]
-        errors = errors[1:]
-        fit = fit_slope(ns, errors)
-    return fit
-
-
 @dataclass(frozen=True)
 class InterpRecord:
     n_elements: int

@@ -24,8 +24,7 @@ import numpy as np
 from scipy.linalg import blas as sblas
 
 from .element import ShapeTable, hermite_basis
-from .errors import (CoefficientViolation, DimensionMismatch, InvalidSpec,
-                     ZeroVector)
+from .errors import CoefficientViolation, DimensionMismatch, InvalidSpec
 from .mesh import Mesh
 
 
@@ -225,27 +224,6 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
     K.scatter(dofmap.element_dofs, k_el)
     M.scatter(dofmap.element_dofs, m_el)
     return K, M, dofmap
-
-
-def energy_inner_product(K: SymBandMatrix, u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (K.n,) or v.shape != (K.n,):
-        raise DimensionMismatch(
-            f"vectors {u.shape}, {v.shape} vs matrix n={K.n}"
-        )
-    return float(u @ K.matvec(v))
-
-
-def rayleigh_quotient(K: SymBandMatrix, M: SymBandMatrix, u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    if not np.any(u):
-        raise ZeroVector("Rayleigh quotient of the zero vector")
-    num = energy_inner_product(K, u, u)
-    den = energy_inner_product(M, u, u)
-    if den <= 0.0:
-        raise ZeroVector(f"u^T M u = {den} is not positive")
-    return num / den
 
 
 @dataclass

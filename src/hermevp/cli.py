@@ -12,9 +12,11 @@ Subcommands:
                   benchmark values
     mesh-dump     node table and grading diagnostics for one mesh
 
-Options may come from flags or from a flat key=value config file
-(--config); flags win.  Every computed number is produced by a library
-call; this module only parses options and formats output.
+Each option is declared once, in OPTIONS, with its type, default and help.
+Values come from flags or from a flat key=value config file (--config);
+flags win, and a file value is parsed exactly like its flag.  Every
+computed number is produced by a library call; this module only parses
+options and formats output.
 """
 
 from __future__ import annotations
@@ -132,60 +134,39 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _int_list(text: str):
+def _number_list(text: str, cast, what: str) -> list:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise InvalidSpec(f"bad integer list {text!r}") from exc
+        values = [cast(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty {what} list {text!r}")
+    return values
 
 
-def _float_list(text: str):
+def _int_list(text: str) -> list:
+    return _number_list(text, int, "integer")
+
+
+def _float_list(text: str) -> list:
+    return _number_list(text, float, "number")
+
+
+def _ensure_out(path: str) -> None:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise InvalidSpec(f"bad number list {text!r}") from exc
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidSpec(f"bad output directory {path}: {exc}") from exc
 
 
-class _Options:
-    """Flag values merged over config-file values merged over defaults."""
+def cmd_solve(ns: argparse.Namespace) -> int:
+    modes, out = ns.modes, ns.out
+    coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, ns.epsilon)
+    solver = SolverConfig(k=modes, tol=ns.tol)
 
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.file = read_config_file(ns.config) if getattr(ns, "config", None) \
-            else {}
-
-    def get(self, key: str, cast, default=None):
-        flag = getattr(self.ns, key, None)
-        if flag is not None:
-            return cast(flag)
-        if key in self.file:
-            return cast(self.file[key])
-        return default
-
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def cmd_solve(opts: _Options) -> int:
-    epsilon = opts.get("epsilon", float, 1e-6)
-    beta = opts.get("beta", float, 1.0)
-    p = opts.get("p", int, 3)
-    n = opts.get("n", int, 64)
-    kind = MeshKind(opts.get("mesh", str, "exp"))
-    modes = opts.get("modes", int, 1)
-    tol = opts.get("tol", float, 1e-11)
-    preset = opts.get("preset", str, "expx")
-    a_expr = opts.get("a_expr", str, None)
-    b_expr = opts.get("b_expr", str, None)
-    out = _ensure_out(opts.get("out", str, "."))
-    coeffs = resolve_coefficients(preset, a_expr, b_expr, epsilon)
-    solver = SolverConfig(k=modes, tol=tol)
-
-    mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
-                               n_elements=n, kind=kind))
-    K, M, dofmap = assemble(mesh, shape_table(p), coeffs)
+    mesh = build_mesh(MeshSpec(epsilon=ns.epsilon, beta=ns.beta, p=ns.p,
+                               n_elements=ns.n, kind=ns.mesh))
+    K, M, dofmap = assemble(mesh, shape_table(ns.p), coeffs)
     spectrum = solve_smallest(K, M, solver)
 
     rows = [(m + 1, spectrum.eigenvalues[m], spectrum.residuals[m])
@@ -203,7 +184,7 @@ def cmd_solve(opts: _Options) -> int:
                   ("x", "u", "du"), (str, float, float),
                   zip(x_fields, u_du[:, 0].tolist(), u_du[:, 1].tolist()))
 
-    print(f"mesh {kind.value}, N={n}, p={p}, epsilon={epsilon:g}, "
+    print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
           f"dof={dofmap.n_free}")
     for m in range(modes):
         flag = " (clustered)" if spectrum.clustered[m] else ""
@@ -213,27 +194,16 @@ def cmd_solve(opts: _Options) -> int:
     return 0
 
 
-def cmd_convergence(opts: _Options) -> int:
-    n_values = opts.get("n", _int_list, [16, 32, 64, 128])
+def cmd_convergence(ns: argparse.Namespace) -> int:
+    n_values = ns.n
     if len(n_values) < 3:
         raise InvalidSpec(f"need at least 3 mesh sizes, got {n_values}")
     if sorted(n_values) != list(n_values):
         raise InvalidSpec(f"mesh sizes must be ascending, got {n_values}")
-    eps_values = opts.get("epsilon", _float_list, [1e-6])
-    beta = opts.get("beta", float, 1.0)
-    p = opts.get("p", int, 3)
-    kind = MeshKind(opts.get("mesh", str, "exp"))
-    modes = opts.get("modes", int, 1)
-    tol = opts.get("tol", float, 1e-11)
-    ref_n = opts.get("ref_n", int, None)
-    preset = opts.get("preset", str, "expx")
-    a_expr = opts.get("a_expr", str, None)
-    b_expr = opts.get("b_expr", str, None)
-    out = _ensure_out(opts.get("out", str, "."))
 
-    for eps in eps_values:
-        coeffs = resolve_coefficients(preset, a_expr, b_expr, eps)
-        stem = os.path.join(out, f"study_eps{eps:g}")
+    for eps in ns.epsilon:
+        coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, eps)
+        stem = os.path.join(ns.out, f"study_eps{eps:g}")
         csv_path = stem + ".csv"
         with open(csv_path, "w", newline="") as fh:
             writer = CsvWriter(fh, CSV_COLUMNS, CSV_KINDS)
@@ -243,9 +213,10 @@ def cmd_convergence(opts: _Options) -> int:
                 fh.flush()
 
             try:
-                report = convergence_study(kind, eps, beta, p, n_values,
-                                           coeffs, modes=modes, ref_n=ref_n,
-                                           tol=tol, on_record=flush)
+                report = convergence_study(ns.mesh, eps, ns.beta, ns.p,
+                                           n_values, coeffs, modes=ns.modes,
+                                           ref_n=ns.ref_n, tol=ns.tol,
+                                           on_record=flush)
             except HermevpError as exc:
                 fh.write(f"# FAILED: {exc}\n")
                 fh.flush()
@@ -264,24 +235,17 @@ def cmd_convergence(opts: _Options) -> int:
     return 0
 
 
-def cmd_interp_study(opts: _Options) -> int:
-    epsilon = opts.get("epsilon", float, 1e-6)
-    beta = opts.get("beta", float, 1.0)
-    p = opts.get("p", int, 3)
-    n_values = opts.get("n", _int_list, [16, 32, 64, 128])
-    kind = opts.get("mesh", str, "exp")
-    out = _ensure_out(opts.get("out", str, "."))
-
-    report = interp_rate_study(kind, epsilon, beta, p, n_values)
+def cmd_interp_study(ns: argparse.Namespace) -> int:
+    report = interp_rate_study(ns.mesh, ns.epsilon, ns.beta, ns.p, ns.n)
     rows = [(report.mesh_kind.value, report.epsilon, report.beta, report.p,
              r.n_elements, r.max_err, r.max_err_d1, r.scaled_h2_err)
             for r in report.records]
-    path = os.path.join(out, "interp.csv")
+    path = os.path.join(ns.out, "interp.csv")
     write_csv(path, ("mesh_kind", "epsilon", "beta", "p", "N", "max_err",
                      "max_err_d1", "scaled_h2_err"),
               (str, float, float, int, int, float, float, float), rows)
     print(f"interpolation ladder for exp(-beta x/eps), "
-          f"epsilon={epsilon:g}, p={p} -> {path}")
+          f"epsilon={ns.epsilon:g}, p={ns.p} -> {path}")
     for metric, label in (("max_err", "value (ell=0)"),
                           ("max_err_d1", "derivative (ell=1)"),
                           ("scaled_h2_err", "scaled H2 seminorm")):
@@ -290,8 +254,7 @@ def cmd_interp_study(opts: _Options) -> int:
     return 0
 
 
-def cmd_table1(opts: _Options) -> int:
-    out = _ensure_out(opts.get("out", str, "."))
+def cmd_table1(ns: argparse.Namespace) -> int:
     epsilon, p, modes = 1e-6, 3, 5
     coeffs = resolve_coefficients("expx", None, None, epsilon)
     shapes = shape_table(p)
@@ -332,7 +295,7 @@ def cmd_table1(opts: _Options) -> int:
                 100.0 * abs(lambdas[m, j] - bench) / bench
             rows.append((m + 1, n, dofs[j], lambdas[m, j], BENCHMARK_DOF[j],
                          bench, dev))
-    path = os.path.join(out, "table1.csv")
+    path = os.path.join(ns.out, "table1.csv")
     write_csv(path, ("mode", "N", "dof", "lambda_h", "benchmark_dof",
                      "benchmark_lambda", "rel_dev_pct"),
               (int, int, int, float, int, float, float), rows)
@@ -347,19 +310,13 @@ def cmd_table1(opts: _Options) -> int:
     return 0
 
 
-def cmd_mesh_dump(opts: _Options) -> int:
-    epsilon = opts.get("epsilon", float, 1e-6)
-    beta = opts.get("beta", float, 1.0)
-    p = opts.get("p", int, 3)
-    n = opts.get("n", int, 64)
-    kind = MeshKind(opts.get("mesh", str, "exp"))
-    out = _ensure_out(opts.get("out", str, "."))
-
-    mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
-                               n_elements=n, kind=kind))
-    path = os.path.join(out, "mesh.csv")
+def cmd_mesh_dump(ns: argparse.Namespace) -> int:
+    kind = ns.mesh
+    mesh = build_mesh(MeshSpec(epsilon=ns.epsilon, beta=ns.beta, p=ns.p,
+                               n_elements=ns.n, kind=kind))
+    path = os.path.join(ns.out, "mesh.csv")
     mesh_to_csv(mesh, path)
-    print(f"{kind.value} mesh, N={n}, epsilon={epsilon:g} -> {path}")
+    print(f"{kind.value} mesh, N={ns.n}, epsilon={ns.epsilon:g} -> {path}")
     if kind is not MeshKind.UNIFORM:
         print(f"  transition abscissa {mesh.transition_left():.6g}")
     if kind is MeshKind.EXP:
@@ -371,82 +328,101 @@ def cmd_mesh_dump(opts: _Options) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# flag -> (type, default, help).  argparse runs a string default, and a
+# config-file value, through the flag's type like a command-line value.
+OPTIONS = {
+    "epsilon": (float, 1e-6, "perturbation parameter"),
+    "beta": (float, 1.0, "layer strength"),
+    "p": (int, 3, "element degree >= 3"),
+    "n": (int, 64, "element count"),
+    "mesh": (MeshKind, "exp", "mesh kind: exp, shishkin or uniform"),
+    "modes": (int, 1, "number of eigenpairs"),
+    "preset": (str, "expx", "expx: a=e^x, b=x; const: a=1, b=0"),
+    "a_expr": (str, None, "a(x) expression for --preset custom"),
+    "b_expr": (str, None, "b(x) expression for --preset custom"),
+    "tol": (float, 1e-11, "solver residual tolerance"),
+    "ref_n": (int, None, "reference element count, max(512, 8 max N) if None"),
+    "out": (str, ".", "output directory"),
+    "config": (str, None, "key=value file; flags override its values"),
+}
+COMMON_FLAGS = ("out", "config")
+MESH_FLAGS = ("epsilon", "beta", "p", "n", "mesh")
+SOLVE_FLAGS = MESH_FLAGS + ("modes", "preset", "a_expr", "b_expr", "tol")
+N_LADDER = {"n": (_int_list, "16,32,64,128", "comma list of element counts")}
+
+# command -> (handler, help, flags besides COMMON_FLAGS, OPTIONS overrides)
+COMMANDS = {
+    "solve": (cmd_solve, "solve one eigenproblem", SOLVE_FLAGS, {}),
+    "convergence": (cmd_convergence, "mesh-ladder convergence study",
+                    SOLVE_FLAGS + ("ref_n",),
+                    {**N_LADDER, "epsilon": (_float_list, "1e-6",
+                                             "comma list of epsilons")}),
+    "interp-study": (cmd_interp_study, "layer-function interpolation rates",
+                     MESH_FLAGS, N_LADDER),
+    "table1": (cmd_table1, "five-mode benchmark table (fixed problem)", (),
+               {}),
+    "mesh-dump": (cmd_mesh_dump, "write mesh nodes and diagnostics",
+                  MESH_FLAGS, {}),
+}
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Show each flag's type as its metavar and its default in its help."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.type.__name__.strip("_")
+
+
+def build_parser():
+    """The top-level parser and a dict of its subparsers by command."""
     parser = argparse.ArgumentParser(
-        prog="hermevp",
+        prog="hermevp", exit_on_error=False,
         description="Fourth-order singularly perturbed eigenproblems with "
-                    "C1 Hermite elements on layer-adapted meshes.",
-    )
+                    "C1 Hermite elements on layer-adapted meshes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
+    for command, (run, text, flags, overrides) in COMMANDS.items():
+        sp = subparsers[command] = sub.add_parser(
+            command, help=text, exit_on_error=False,
+            formatter_class=_HelpFormatter)
+        for dest in flags + COMMON_FLAGS:
+            type_, default, help_ = overrides.get(dest, OPTIONS[dest])
+            sp.add_argument("--" + dest.replace("_", "-"), type=type_,
+                            default=default, help=help_,
+                            choices=[*PRESETS, "custom"]
+                            if dest == "preset" else None)
+        sp.set_defaults(run=run)
+    return parser, subparsers
 
-    def add(sp, *names):
-        if "epsilon" in names:
-            sp.add_argument("--epsilon", help="perturbation parameter, or a "
-                            "comma list for studies")
-        if "beta" in names:
-            sp.add_argument("--beta", help="layer strength (default 1.0)")
-        if "p" in names:
-            sp.add_argument("--p", help="element degree >= 3 (default 3)")
-        if "n" in names:
-            sp.add_argument("--n", help="element count, or a comma list "
-                            "for studies")
-        if "mesh" in names:
-            sp.add_argument("--mesh", choices=[k.value for k in MeshKind],
-                            help="mesh kind (default exp)")
-        if "modes" in names:
-            sp.add_argument("--modes", help="number of eigenpairs")
-        if "preset" in names:
-            sp.add_argument("--preset", choices=["expx", "const", "custom"],
-                            help="coefficient preset (default expx: "
-                            "a=e^x, b=x; const: a=1, b=0)")
-            sp.add_argument("--a-expr", dest="a_expr",
-                            help="a(x) expression for --preset custom")
-            sp.add_argument("--b-expr", dest="b_expr",
-                            help="b(x) expression for --preset custom")
-        if "tol" in names:
-            sp.add_argument("--tol", help="solver residual tolerance")
-        if "ref_n" in names:
-            sp.add_argument("--ref-n", dest="ref_n",
-                            help="reference mesh element count")
-        sp.add_argument("--out", help="output directory (default .)")
-        sp.add_argument("--config", help="flat key=value config file; "
-                        "flags override file values")
 
-    add(sub.add_parser("solve", help="solve one eigenproblem"),
-        "epsilon", "beta", "p", "n", "mesh", "modes", "preset", "tol")
-    add(sub.add_parser("convergence", help="mesh-ladder convergence study"),
-        "epsilon", "beta", "p", "n", "mesh", "modes", "preset", "tol",
-        "ref_n")
-    add(sub.add_parser("interp-study",
-                       help="layer-function interpolation rates"),
-        "epsilon", "beta", "p", "n", "mesh")
-    add(sub.add_parser("table1",
-                       help="five-mode benchmark table (fixed problem)"))
-    add(sub.add_parser("mesh-dump", help="write mesh nodes and diagnostics"),
-        "epsilon", "beta", "p", "n", "mesh")
-    return parser
+def _parse_options(argv=None) -> argparse.Namespace:
+    """Parse argv; with --config, the file's values for this command's
+    flags become its defaults and argv is parsed again."""
+    parser, subparsers = build_parser()
+    try:
+        ns = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise InvalidSpec(str(exc)) from None
+    if ns.config is None:
+        return ns
+    flags = COMMANDS[ns.command][2] + COMMON_FLAGS
+    values = read_config_file(ns.config)
+    subparsers[ns.command].set_defaults(
+        **{key: value for key, value in values.items() if key in flags})
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise InvalidSpec(f"{ns.config}: {exc}") from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        opts = _Options(ns)
-        if ns.command == "solve":
-            return cmd_solve(opts)
-        if ns.command == "convergence":
-            return cmd_convergence(opts)
-        if ns.command == "interp-study":
-            return cmd_interp_study(opts)
-        if ns.command == "table1":
-            return cmd_table1(opts)
-        if ns.command == "mesh-dump":
-            return cmd_mesh_dump(opts)
-        parser.error(f"unknown command {ns.command!r}")
+        ns = _parse_options(argv)
+        _ensure_out(ns.out)
+        return ns.run(ns)
     except HermevpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    return 0
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
                      TooFewPoints, ZeroVector, align_sign, build_mesh,
                      compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
-                     energy_norm_error, fit_slope, fit_slope_tail,
-                     gauss_rule, interp_rate_study, sample_points)
+                     energy_norm_error, fit_slope, gauss_rule,
+                     interp_rate_study, sample_points)
 from hermevp.analysis import CSV_COLUMNS, CSV_KINDS, ERROR_METRICS
 from hermevp.csvout import write_csv
 
@@ -190,16 +190,6 @@ class TestFitSlope:
     def test_positive_errors_required(self):
         with pytest.raises(NonpositiveError):
             fit_slope([8.0, 16.0], [1.0, 0.0])
-
-    def test_tail_fit_drops_corrupted_coarse_level(self):
-        ns = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
-        errors = 2.0 * ns**-3
-        errors[0] *= 100.0
-        full = fit_slope(ns, errors)
-        tail = fit_slope_tail(ns, errors, max_residual=0.25, min_points=3)
-        assert full.max_log_residual > 0.25
-        assert len(tail.ns) == 4
-        assert tail.slope == pytest.approx(3.0, abs=1e-10)
 
 
 class TestInterpRateStudy:

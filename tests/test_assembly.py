@@ -4,9 +4,8 @@ import sympy as sp
 
 from hermevp import (CoefficientSet, CoefficientViolation, DimensionMismatch,
                      FEFunction, InvalidSpec, MeshSpec, SymBandMatrix,
-                     ZeroVector, assemble, build_dof_map, build_mesh,
-                     element_matrices, energy_inner_product, gauss_rule,
-                     hermite_basis, rayleigh_quotient, shape_table)
+                     assemble, build_dof_map, build_mesh, element_matrices,
+                     gauss_rule, hermite_basis, shape_table)
 
 
 def symbolic_shape_functions(p):
@@ -295,43 +294,6 @@ class TestAssemble:
             CoefficientSet(a=np.exp, b=np.exp, epsilon=0.0, a_floor=1.0)
         with pytest.raises(InvalidSpec):
             CoefficientSet(a=np.exp, b=np.exp, epsilon=0.5, a_floor=0.0)
-
-
-class TestQuotients:
-    def make_problem(self):
-        mesh = build_mesh(MeshSpec(epsilon=0.1, beta=1.0, p=3,
-                                   n_elements=8, kind="uniform"))
-        coeffs = CoefficientSet(a=lambda x: np.ones_like(x),
-                                b=lambda x: np.zeros_like(x),
-                                epsilon=0.1, a_floor=1.0)
-        return assemble(mesh, shape_table(3), coeffs)
-
-    def test_rayleigh_never_below_smallest_eigenvalue(self):
-        from scipy.linalg import eigh
-        K, M, _ = self.make_problem()
-        lam1 = eigh(K.to_dense(), M.to_dense(), eigvals_only=True)[0]
-        rng = np.random.default_rng(99)
-        for _ in range(50):
-            u = rng.standard_normal(K.n)
-            assert rayleigh_quotient(K, M, u) >= lam1 * (1.0 - 1e-10)
-
-    def test_zero_vector_rejected(self):
-        K, M, _ = self.make_problem()
-        with pytest.raises(ZeroVector):
-            rayleigh_quotient(K, M, np.zeros(K.n))
-
-    def test_energy_inner_product_shape_checked(self):
-        K, _, _ = self.make_problem()
-        with pytest.raises(DimensionMismatch):
-            energy_inner_product(K, np.zeros(K.n), np.zeros(K.n + 1))
-
-    def test_energy_inner_product_symmetric(self):
-        K, _, _ = self.make_problem()
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal(K.n)
-        v = rng.standard_normal(K.n)
-        assert energy_inner_product(K, u, v) == pytest.approx(
-            energy_inner_product(K, v, u), rel=1e-12)
 
 
 class TestFEFunction:

@@ -122,6 +122,52 @@ class TestExitCodes:
         assert "epsilon = 1e-16" in err and "N = 64" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--p", "abc"),
+        ("solve", "--epsilon", "x"),
+        ("solve", "--modes", "two"),
+        ("interp-study", "--beta", "q"),
+        ("mesh-dump", "--n", "1.5"),
+        ("mesh-dump", "--mesh", "foo"),
+    ], ids=" ".join)
+    def test_malformed_flag_value(self, tmp_path, capsys, argv):
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("line", ["p = x", "mesh = foo"])
+    def test_malformed_config_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc, _, err = run(capsys, "solve", "--config", str(cfg),
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith(f"error: InvalidSpec: {cfg}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("convergence", "--epsilon", ","),
+        ("interp-study", "--n", ","),
+    ], ids=" ".join)
+    def test_empty_list_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, *argv, "--out", str(out))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert "empty" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_out_not_a_directory(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, _, err = run(capsys, "solve", "--n", "8",
+                         "--out", str(blocker / sub))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestCoefficientExpressions:
     def test_forbidden_names_rejected(self, tmp_path, capsys):
@@ -247,6 +293,18 @@ class TestConfigFile:
                        f"out = {tmp_path}\n")
         rc, _, _ = run(capsys, "convergence", "--config", str(cfg))
         assert rc == 0
+
+    def test_keys_outside_the_command_ignored(self, tmp_path, capsys):
+        outputs = []
+        for extra in ("", "ref_n = 48\nrun = x\ncommand = x\n"):
+            out = tmp_path / f"out{len(outputs)}"
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"epsilon = 1e-2\nn = 8\n{extra}out = {out}\n")
+            rc, stdout, err = run(capsys, "solve", "--config", str(cfg))
+            assert rc == 0 and err == ""
+            outputs.append((stdout.replace(str(out), "OUT"),
+                            {f.name: f.read_bytes() for f in out.iterdir()}))
+        assert outputs[0] == outputs[1]
 
     def test_missing_file(self, tmp_path, capsys):
         rc, _, err = run(capsys, "solve",

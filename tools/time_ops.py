@@ -50,6 +50,8 @@ OPS = {
     "table1": ("table1",),
     "interp_study": ("interp-study", "--p", "5", "--n", "16,32,64,128,256",
                      "--epsilon", "1e-08", "--mesh", "exp"),
+    "mesh_dump": ("mesh-dump", "--p", "3", "--n", "16", "--epsilon", "1e-06",
+                  "--mesh", "exp"),
 }
 
 
