@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import blas as sblas
 
-from .element import ShapeTable, hermite_basis
+from .element import ShapeTable, _basis_coeffs, piecewise_eval
 from .errors import CoefficientViolation, DimensionMismatch, InvalidSpec
 from .mesh import Mesh
 
@@ -266,35 +266,21 @@ class FEFunction:
         return cls(mesh=mesh, p=dofmap.p, node_values=values,
                    node_slopes=slopes, bubbles=bubbles)
 
-    def __call__(self, x, deriv=0):
+    def __call__(self, x, deriv=0, element=None):
         """Values (deriv=0) or a derivative at the points x.
 
         deriv may also be a tuple of orders: the points are then located
         once and the result has shape (len(x), len(deriv)), one column per
         order, each equal to the single-order call.  The columns are
-        contiguous (Fortran order).
+        contiguous (Fortran order).  With element given, x holds local
+        coordinates in [0, 1] on those elements.  The per-element power
+        coefficients are rebuilt on every call, so edits to the
+        coefficient arrays show.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        nodes = self.mesh.nodes
-        e = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                    0, self.mesh.n_elements - 1)
-        h = self.mesh.widths[e]
-        s = (x - nodes[e]) / h
-        v0, v1 = self.node_values[e], self.node_values[e + 1]
-        hs0, hs1 = h * self.node_slopes[e], h * self.node_slopes[e + 1]
-        bubbles = self.bubbles[e]
-
-        def column(d):
-            basis = hermite_basis(self.p, s, d)
-            out = v0 * basis[0] + hs0 * basis[1] + v1 * basis[2] \
-                + hs1 * basis[3]
-            for m in range(self.p - 3):
-                out += bubbles[:, m] * basis[4 + m]
-            return out / h**d
-
-        if np.ndim(deriv) == 0:
-            return column(deriv)
-        out = np.empty((len(x), len(deriv)), order="F")
-        for j, d in enumerate(deriv):
-            out[:, j] = column(d)
-        return out
+        h = self.mesh.widths
+        local = np.column_stack([self.node_values[:-1],
+                                 h * self.node_slopes[:-1],
+                                 self.node_values[1:],
+                                 h * self.node_slopes[1:], self.bubbles])
+        return piecewise_eval(self.mesh.nodes, local @ _basis_coeffs(self.p),
+                              x, deriv, piece=element)

@@ -198,8 +198,9 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
     n_values = ns.n
     if len(n_values) < 3:
         raise InvalidSpec(f"need at least 3 mesh sizes, got {n_values}")
-    if sorted(n_values) != list(n_values):
-        raise InvalidSpec(f"mesh sizes must be ascending, got {n_values}")
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise InvalidSpec(f"mesh sizes must be strictly ascending, "
+                          f"got {n_values}")
 
     for eps in ns.epsilon:
         coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, eps)

@@ -43,8 +43,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidSpec(f"need at least one mode, got k={self.k}")
-        if self.tol <= 0.0:
-            raise InvalidSpec(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidSpec(f"tolerance must be positive and finite, "
+                              f"got {self.tol}")
 
 
 @dataclass(frozen=True)

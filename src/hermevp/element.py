@@ -1,5 +1,5 @@
-"""Reference-element machinery: C1 shape functions, quadrature, and the
-piecewise Hermite interpolant.
+"""Reference-element machinery: C1 shape functions, quadrature, the
+piecewise Hermite interpolant and the one piecewise-polynomial evaluator.
 
 The basis on the reference element [0, 1] has p+1 functions in local order
 (value left, slope left, value right, slope right, bubbles):
@@ -68,6 +68,7 @@ def _basis_coeffs(p: int) -> np.ndarray:
     out = np.zeros((p + 1, p + 1))
     for i, r in enumerate(rows):
         out[i, : len(r)] = r
+    out.setflags(write=False)
     return out
 
 
@@ -152,10 +153,62 @@ class HermiteData:
         object.__setattr__(self, "slopes", slopes)
 
 
+def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
+                   piece=None):
+    """Evaluate a piecewise polynomial or its derivatives at the points x.
+
+    Row i of coeffs holds the power-basis coefficients, lowest order first,
+    of the piece on [breaks[i], breaks[i+1]] in the local coordinate t in
+    [0, 1]; points outside use the end pieces.  With piece given, x holds
+    local coordinates on those pieces and nothing is located, so t keeps
+    full precision on pieces narrower than the spacing of doubles near them.
+    Each order is one Horner pass over table rows gathered per point, the
+    derivative's falling factorials applied to the table and 1/h
+    multiplied in d times.  An int deriv gives a 1-D array; a tuple gives
+    one Fortran-order column per order, each equal bit for bit to the
+    single-order call.  Orders above the degree give zeros.
+    """
+    orders = (deriv,) if np.ndim(deriv) == 0 else tuple(deriv)
+    if any(d < 0 for d in orders):
+        raise InvalidSpec(f"derivative order must be >= 0, got {deriv}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n_pieces, n_coef = coeffs.shape
+    if piece is None:
+        g = np.searchsorted(breaks, x, side="right") - 1
+        np.clip(g, 0, n_pieces - 1, out=g)
+        inv_h = np.take(1.0 / np.diff(breaks), g)
+        t = (x - np.take(breaks, g)) * inv_h
+    else:
+        g = np.asarray(piece)
+        inv_h = np.take(1.0 / np.diff(breaks), g)
+        t = x
+
+    table = coeffs.T
+    out = np.empty((len(x), len(orders)), order="F")
+    row = np.empty(len(x))
+    for j, d in enumerate(orders):
+        col = out[:, j]
+        if d >= n_coef:
+            col[:] = 0.0
+            continue
+        scaled = table[d:]
+        for i in range(d):       # k (k-1) ... (k-d+1) on the t^k row
+            scaled = scaled * np.arange(d - i, n_coef - i)[:, None]
+        np.take(scaled[-1], g, out=col, mode="clip")
+        for c in scaled[-2::-1]:
+            col *= t
+            np.take(c, g, out=row, mode="clip")
+            col += row
+        for _ in range(d):
+            col *= inv_h
+    return out[:, 0] if np.ndim(deriv) == 0 else out
+
+
 class PiecewiseFunction:
     """Piecewise polynomial over groups of intervals, evaluable with any
     derivative order; stores power-basis coefficients per group on the
-    group-local coordinate t in [0, 1]."""
+    group-local coordinate t in [0, 1] and evaluates through
+    piecewise_eval."""
 
     def __init__(self, breaks: np.ndarray, coeffs: np.ndarray):
         self.breaks = np.asarray(breaks, dtype=float)
@@ -166,19 +219,7 @@ class PiecewiseFunction:
         self.coeffs.setflags(write=False)
 
     def __call__(self, x, deriv: int = 0):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
-                    0, len(self.coeffs) - 1)
-        widths = self.breaks[g + 1] - self.breaks[g]
-        t = (x - self.breaks[g]) / widths
-        coeffs = self.coeffs
-        for _ in range(deriv):
-            coeffs = nppoly.polyder(coeffs, axis=1)
-        c = coeffs[g]
-        out = np.zeros_like(t)
-        for k in range(c.shape[1] - 1, -1, -1):
-            out = out * t + c[:, k]
-        return out / widths**deriv
+        return piecewise_eval(self.breaks, self.coeffs, x, deriv)
 
 
 def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:

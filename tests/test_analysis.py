@@ -80,14 +80,22 @@ class TestEnergyNormError:
         epsilon = 0.3
 
         breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
-        rule = gauss_rule(2 * p)
+        rule = gauss_rule(p + 1)            # the default rule
         widths = np.diff(breaks)
-        x = (breaks[:-1, None] + widths[:, None] * rule.points).ravel()
         w = (widths[:, None] * rule.weights).ravel()
+
+        def local(u):
+            # each Gauss point as (element, local coordinate) of u's mesh
+            e = np.searchsorted(u.mesh.nodes, breaks[:-1], side="right") - 1
+            t = ((breaks[:-1] - u.mesh.nodes[e])[:, None]
+                 + widths[:, None] * rule.points) / u.mesh.widths[e, None]
+            return t.ravel(), np.repeat(e, rule.n_points)
+
+        (th, eh), (tr, er) = local(u_h), local(u_ref)
         err_sq = ref_sq = 0.0
         for deriv, factor in ((0, 1.0), (1, 1.0), (2, epsilon**2)):
-            dh = u_h(x, deriv)
-            dr = u_ref(x, deriv)
+            dh = u_h(th, deriv, element=eh)
+            dr = u_ref(tr, deriv, element=er)
             err_sq += factor * float(w @ (dh - dr) ** 2)
             ref_sq += factor * float(w @ dr**2)
         expect = 100.0 * np.sqrt(err_sq / ref_sq)
@@ -108,18 +116,56 @@ class TestEnergyNormError:
         seen = []
         call = FEFunction.__call__
 
-        def record(self, x, deriv=0):
-            seen.append(np.asarray(x))
-            return call(self, x, deriv)
+        def record(self, t, deriv=0, element=None):
+            # the points, from their local coordinates in u_h's elements
+            seen.append(self.mesh.nodes[element]
+                        + t * self.mesh.widths[element])
+            return call(self, t, deriv, element)
 
         monkeypatch.setattr(FEFunction, "__call__", record)
         energy_norm_error(u_h, u_ref, epsilon=1e-14)
         breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
-        nq = len(gauss_rule(6).points)
+        nq = len(gauss_rule(3 + 1).points)  # the default rule at p = 3
         x = seen[0].reshape(-1, nq)
         assert len(x) == len(breaks) - 1
         assert np.all(x.min(axis=1) >= breaks[:-1])
         assert np.all(x.max(axis=1) <= breaks[1:])
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-5, 1e-8])
+    @pytest.mark.parametrize("kind", ["exp", "shishkin"])
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("data", ["smooth", "rough"])
+    def test_default_rule_is_exact(self, data, p, kind, epsilon):
+        # both functions are degree-p polynomials on each union interval,
+        # so p+1 Gauss points integrate the degree-2p integrands exactly
+        # and longer rules can only add rounding.  Smooth data keep the
+        # L2 part, the one integrand of full degree 2p, from being swamped,
+        # so a rule one point short shows.  Rough data have derivatives of
+        # size 1/h, which put the energy on the layer elements, where
+        # points near x = 1 are resolved only in local coordinates.
+        def random_function(n, seed):
+            mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
+                                       n_elements=n, kind=kind))
+            rng = np.random.default_rng(seed)
+            if data == "smooth":
+                amp = rng.standard_normal(6)
+                k = np.pi * np.arange(1, 7)
+                values = np.sin(np.outer(mesh.nodes, k)) @ amp
+                slopes = np.cos(np.outer(mesh.nodes, k)) @ (k * amp)
+                bubbles = mesh.widths[:, None] * rng.standard_normal(
+                    (n, p - 3))
+            else:
+                values, slopes = rng.standard_normal((2, n + 1))
+                bubbles = rng.standard_normal((n, p - 3))
+            values[[0, -1]] = slopes[[0, -1]] = 0.0
+            return FEFunction(mesh=mesh, p=p, node_values=values,
+                              node_slopes=slopes, bubbles=bubbles)
+
+        u_h, u_ref = random_function(16, 1), random_function(48, 2)
+        default = energy_norm_error(u_h, u_ref, epsilon)
+        for n_gauss in (2 * p, 12):
+            longer = energy_norm_error(u_h, u_ref, epsilon, n_gauss=n_gauss)
+            assert default == pytest.approx(longer, rel=1e-13, abs=0.0)
 
 
 class TestDiscreteMaxError:

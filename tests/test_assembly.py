@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -5,7 +7,7 @@ import sympy as sp
 from hermevp import (CoefficientSet, CoefficientViolation, DimensionMismatch,
                      FEFunction, InvalidSpec, MeshSpec, SymBandMatrix,
                      assemble, build_dof_map, build_mesh, element_matrices,
-                     gauss_rule, hermite_basis, shape_table)
+                     gauss_rule, shape_table)
 
 
 def symbolic_shape_functions(p):
@@ -350,19 +352,32 @@ class TestFEFunction:
         assert np.max(np.abs(u(mesh.nodes))) < 1e-15
 
     @staticmethod
-    def per_point_reference(u, x, deriv):
-        # the single-order evaluation, in its own operation order
-        e = np.clip(np.searchsorted(u.mesh.nodes, x, side="right") - 1,
-                    0, u.mesh.n_elements - 1)
-        h = u.mesh.widths[e]
-        basis = hermite_basis(u.p, (x - u.mesh.nodes[e]) / h, deriv)
-        out = (u.node_values[e] * basis[0]
-               + h * u.node_slopes[e] * basis[1]
-               + u.node_values[e + 1] * basis[2]
-               + h * u.node_slopes[e + 1] * basis[3])
-        for m in range(u.p - 3):
-            out += u.bubbles[e, m] * basis[4 + m]
-        return out / h**deriv
+    def rational_oracle(u, x, deriv):
+        """The Hermite combination's deriv-th derivative at each x in exact
+        rational arithmetic, with the sum of the absolute values of its
+        terms: every coefficient times every monomial of its shape, which
+        is the scale of the rounding error of any power-basis evaluation."""
+        s_sym, shapes = symbolic_shape_functions(u.p)
+        monomials = [[Fraction(int(c.p), int(c.q)) for c in reversed(
+            sp.Poly(sp.diff(f, s_sym, deriv), s_sym).all_coeffs())]
+            for f in shapes]
+        e_of = np.clip(np.searchsorted(u.mesh.nodes, x, side="right") - 1,
+                       0, u.mesh.n_elements - 1)
+        exact, scale = [], []
+        for xi, e in zip(x, e_of):
+            x0 = Fraction(u.mesh.nodes[e])
+            h = Fraction(u.mesh.nodes[e + 1]) - x0
+            s = (Fraction(xi) - x0) / h
+            local = [Fraction(u.node_values[e]), h * Fraction(u.node_slopes[e]),
+                     Fraction(u.node_values[e + 1]),
+                     h * Fraction(u.node_slopes[e + 1])]
+            local += [Fraction(b) for b in u.bubbles[e]]
+            terms = [c * m * s**k / h**deriv
+                     for c, row in zip(local, monomials)
+                     for k, m in enumerate(row)]
+            exact.append(sum(terms))
+            scale.append(sum(abs(t) for t in terms))
+        return exact, scale
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_tuple_deriv_columns_equal_single_calls(self, p):
@@ -380,5 +395,31 @@ class TestFEFunction:
             single = u(x, d)
             assert single.ndim == 1
             assert np.array_equal(cols[:, j], single)
-            assert np.array_equal(single, self.per_point_reference(u, x, d))
+            exact, scale = self.rational_oracle(u, x, d)
+            for got, want, bound in zip(single, exact, scale):
+                assert abs(Fraction(got) - want) <= Fraction(1e-14) * bound
         assert np.array_equal(u(x, (1,))[:, 0], u(x, deriv=1))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_node_values_returned_exactly(self, p):
+        # at a node the local coordinate is 0, so the value is the constant
+        # term of the element's polynomial, which is the node value itself
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
+                                   n_elements=16, kind="exp"))
+        _, _, dofmap = assemble(mesh, shape_table(p), default_coeffs())
+        rng = np.random.default_rng(10 + p)
+        u = FEFunction.from_dof_vector(mesh, dofmap,
+                                       rng.standard_normal(dofmap.n_free))
+        assert np.array_equal(u(mesh.nodes[:-1]), u.node_values[:-1])
+
+    def test_local_coordinates_equal_point_calls(self):
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=5,
+                                   n_elements=16, kind="exp"))
+        _, _, dofmap = assemble(mesh, shape_table(5), default_coeffs())
+        rng = np.random.default_rng(6)
+        u = FEFunction.from_dof_vector(mesh, dofmap,
+                                       rng.standard_normal(dofmap.n_free))
+        x = rng.random(200)
+        e = np.searchsorted(mesh.nodes, x, side="right") - 1
+        t = (x - mesh.nodes[e]) * (1.0 / mesh.widths)[e]
+        assert np.array_equal(u(t, (0, 1, 2), element=e), u(x, (0, 1, 2)))

@@ -158,6 +158,15 @@ class TestExitCodes:
         assert "empty" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, tmp_path, capsys, tol):
+        rc, _, err = run(capsys, "solve", "--p", "3", "--n", "8",
+                         "--epsilon", "1e-2", "--tol", tol,
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_out_not_a_directory(self, tmp_path, capsys, sub):
         blocker = tmp_path / "file"
@@ -213,6 +222,20 @@ class TestConvergence:
         rc, _, err = run(capsys, "convergence", "--n", "32,16,64",
                          "--out", str(tmp_path))
         assert rc == 2
+
+    def test_repeated_sizes_rejected(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "convergence", "--n", "8,8,16",
+                         "--epsilon", "1e-2", "--ref-n", "48",
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+
+    def test_zero_reference_size_rejected(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "convergence", "--n", "8,12,16",
+                         "--epsilon", "1e-2", "--ref-n", "0",
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert "error: InvalidSpec: " in err
 
     def test_study_outputs(self, tmp_path, capsys):
         rc, out, err = run(capsys, "convergence", "--epsilon", "1e-2",

@@ -144,6 +144,20 @@ class TestPiecewiseFunction:
         assert f(2.0)[0] == pytest.approx(2.0, rel=1e-15)
         assert f(0.0)[0] == 0.0
 
+    def test_orders_above_degree_are_zero(self):
+        f = PiecewiseFunction(np.array([0.0, 1.0, 3.0]),
+                              np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        x = np.array([0.25, 1.0, 2.5])
+        assert np.array_equal(f(x, deriv=3), np.zeros(3))
+        assert np.array_equal(f(x, deriv=7), np.zeros(3))
+        # the top order is constant per piece: 2 c_2 / h^2
+        assert np.array_equal(f(x, deriv=2), [6.0, 3.0, 3.0])
+
+    def test_negative_order_rejected(self):
+        f = PiecewiseFunction(np.array([0.0, 2.0]), np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(InvalidSpec):
+            f(1.0, deriv=-1)
+
 
 class TestHermiteInterpolant:
     def test_reproduces_cubic_exactly(self):
