@@ -275,12 +275,22 @@ class FEFunction:
         contiguous (Fortran order).  With element given, x holds local
         coordinates in [0, 1] on those elements.  The per-element power
         coefficients are rebuilt on every call, so edits to the
-        coefficient arrays show.
+        coefficient arrays show.  At the last node the value and slope
+        are the stored end data exactly, not a rounded sum of the last
+        element's coefficients at t = 1; other nodes sit at t = 0.
         """
         h = self.mesh.widths
         local = np.column_stack([self.node_values[:-1],
                                  h * self.node_slopes[:-1],
                                  self.node_values[1:],
                                  h * self.node_slopes[1:], self.bubbles])
-        return piecewise_eval(self.mesh.nodes, local @ _basis_coeffs(self.p),
-                              x, deriv, piece=element)
+        out = piecewise_eval(self.mesh.nodes, local @ _basis_coeffs(self.p),
+                             x, deriv, piece=element)
+        if element is None:
+            at_end = np.atleast_1d(x) == self.mesh.nodes[-1]
+            ends = {0: self.node_values[-1], 1: self.node_slopes[-1]}
+            columns = out.reshape(len(at_end), -1)      # a view of out
+            for j, d in enumerate(np.atleast_1d(deriv)):
+                if d in ends:
+                    columns[at_end, j] = ends[d]
+        return out

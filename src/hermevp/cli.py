@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import (CSV_COLUMNS, CSV_KINDS, StudyRecord,
                        convergence_study, interp_rate_study)
 from .assembly import CoefficientSet, FEFunction, assemble
-from .csvout import CsvWriter, format_floats, write_csv
+from .csvout import CsvWriter, format_floats, write_columns, write_csv
 from .eigensolver import SolverConfig, solve_smallest
 from .element import shape_table
 from .errors import CoefficientViolation, HermevpError, InvalidSpec
@@ -180,9 +180,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         u = FEFunction.from_dof_vector(mesh, dofmap,
                                        spectrum.eigenvectors[:, m])
         u_du = u(xs, (0, 1))
-        write_csv(os.path.join(out, f"mode_{m + 1}.csv"),
-                  ("x", "u", "du"), (str, float, float),
-                  zip(x_fields, u_du[:, 0].tolist(), u_du[:, 1].tolist()))
+        write_columns(os.path.join(out, f"mode_{m + 1}.csv"),
+                      ("x", "u", "du"), (str, float, float),
+                      (x_fields, u_du[:, 0].tolist(), u_du[:, 1].tolist()))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
           f"dof={dofmap.n_free}")
@@ -204,6 +204,12 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
 
     for eps in ns.epsilon:
         coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, eps)
+        # every mesh and solver spec the study builds is checked before its
+        # CSV is opened, so a refused value leaves no partial file
+        for n in n_values + ([] if ns.ref_n is None else [ns.ref_n]):
+            MeshSpec(epsilon=eps, beta=ns.beta, p=ns.p, n_elements=n,
+                     kind=ns.mesh)
+        SolverConfig(k=ns.modes, tol=ns.tol)
         stem = os.path.join(ns.out, f"study_eps{eps:g}")
         csv_path = stem + ".csv"
         with open(csv_path, "w", newline="") as fh:
@@ -374,32 +380,77 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.type.__name__.strip("_")
 
 
-def build_parser():
-    """The top-level parser and a dict of its subparsers by command."""
+def build_parser(command=None):
+    """The top-level parser and the subparser of command.  Every command
+    is registered with its help, but only command gets its flags: the
+    others are never parsed, and each flag costs a help formatter."""
     parser = argparse.ArgumentParser(
         prog="hermevp", exit_on_error=False,
         description="Fourth-order singularly perturbed eigenproblems with "
                     "C1 Hermite elements on layer-adapted meshes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
-    for command, (run, text, flags, overrides) in COMMANDS.items():
-        sp = subparsers[command] = sub.add_parser(
-            command, help=text, exit_on_error=False,
-            formatter_class=_HelpFormatter)
+    invoked = None
+    for name, (run, text, flags, overrides) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text, exit_on_error=False,
+                            formatter_class=_HelpFormatter,
+                            add_help=(name == command))
+        sp.set_defaults(run=run)
+        if name != command:
+            continue
+        invoked = sp
         for dest in flags + COMMON_FLAGS:
             type_, default, help_ = overrides.get(dest, OPTIONS[dest])
             sp.add_argument("--" + dest.replace("_", "-"), type=type_,
                             default=default, help=help_,
                             choices=[*PRESETS, "custom"]
                             if dest == "preset" else None)
-        sp.set_defaults(run=run)
-    return parser, subparsers
+    return parser, invoked
+
+
+def _is_number_list(token: str) -> bool:
+    try:
+        _float_list(token)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+def _names_option(flag: str, command) -> bool:
+    """Whether flag names a value option of command, in full or by a
+    unique prefix, as argparse matches it (--help is among the names)."""
+    if not flag.startswith("--") or command not in COMMANDS:
+        return False
+    names = ["help"] + [dest.replace("_", "-")
+                        for dest in COMMANDS[command][2] + COMMON_FLAGS]
+    name = flag[2:]
+    if name in names:
+        return name != "help"
+    matches = [n for n in names if n.startswith(name)]
+    return len(matches) == 1 and matches[0] != "help"
+
+
+def _join_negative_values(argv) -> list:
+    """argv with each flag of argv[0] followed by a negative number, or a
+    comma list of numbers, joined into --flag=value, since argparse takes
+    -inf or -1e-3 for an option string.  Every hermevp flag takes exactly
+    one value."""
+    command = argv[0] if argv else None
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (token.startswith("-") and _names_option(flag, command)
+                and _is_number_list(token)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_options(argv=None) -> argparse.Namespace:
     """Parse argv; with --config, the file's values for this command's
     flags become its defaults and argv is parsed again."""
-    parser, subparsers = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    parser, invoked = build_parser(argv[0] if argv else None)
     try:
         ns = parser.parse_args(argv)
     except argparse.ArgumentError as exc:
@@ -408,7 +459,7 @@ def _parse_options(argv=None) -> argparse.Namespace:
         return ns
     flags = COMMANDS[ns.command][2] + COMMON_FLAGS
     values = read_config_file(ns.config)
-    subparsers[ns.command].set_defaults(
+    invoked.set_defaults(
         **{key: value for key, value in values.items() if key in flags})
     try:
         return parser.parse_args(argv)

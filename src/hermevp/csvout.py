@@ -8,9 +8,19 @@ as an empty field.  Fields are never quoted, so strings must not hold
 ``,``, ``"`` or line breaks; every string hermevp writes is a fixed name
 such as a mesh kind or a region.  The bytes equal those of ``csv.writer``
 given the same fields with each float preformatted as ``%.17g``.
+
+A batch of rows is rendered with one ``%`` operation: the row format
+repeated once per row, applied to all the fields in one flat list, laid
+out column by column with slice assignments.  So every row (or column) is
+checked for its length first; one of the wrong length raises
+``DimensionMismatch`` before anything is written, instead of shifting
+fields into its neighbours.  A batch that holds a ``None`` is rendered
+row by row, each blank cell dropped from its row's format.
 """
 
 from __future__ import annotations
+
+from .errors import DimensionMismatch
 
 ROW_END = "\r\n"
 FLOAT_FIELD = "%.17g"
@@ -42,7 +52,7 @@ class CsvWriter:
         self.fmt = _row_format(self.kinds)
         fh.write(",".join(header) + ROW_END)
 
-    def _blank_line(self, row) -> str:
+    def _line(self, row) -> str:
         # blank cells drop out of the format along with their values
         fields = ["" if v is None else _field(k)
                   for k, v in zip(self.kinds, row)]
@@ -51,10 +61,37 @@ class CsvWriter:
 
     def writerows(self, rows) -> None:
         """Rows as sequences of Python values, one per column."""
-        fmt = self.fmt
-        self.fh.write("".join([
-            fmt % tuple(row) if None not in row else self._blank_line(row)
-            for row in rows]))
+        rows = list(rows)
+        widths = set(map(len, rows)) - {len(self.kinds)}
+        if widths:
+            raise DimensionMismatch(
+                f"CSV rows must have {len(self.kinds)} fields, got rows "
+                f"of {sorted(widths)}")
+        self.writecolumns(list(zip(*rows)) or [()] * len(self.kinds))
+
+    def writecolumns(self, columns) -> None:
+        """Columns as sequences of Python values, one per column kind and
+        all of one length; row i holds item i of each."""
+        width = len(self.kinds)
+        lengths = set(map(len, columns))
+        if len(columns) != width or len(lengths) > 1:
+            raise DimensionMismatch(
+                f"CSV needs {width} columns of one length, got lengths "
+                f"{[len(c) for c in columns]}")
+        n_rows = lengths.pop()
+        fields = [None] * (width * n_rows)
+        for j, column in enumerate(columns):
+            fields[j::width] = column
+        text = None
+        if not any(None in column for column, kind in zip(columns, self.kinds)
+                   if kind is not float):
+            try:
+                text = (self.fmt * n_rows) % tuple(fields)
+            except TypeError:       # %.17g refuses the None of a blank cell
+                pass
+        if text is None:
+            text = "".join([self._line(row) for row in zip(*columns)])
+        self.fh.write(text)
 
     def writerow(self, row) -> None:
         self.writerows((row,))
@@ -64,3 +101,10 @@ def write_csv(path, header, kinds, rows) -> None:
     """Write a whole CSV file: header, then rows (see CsvWriter)."""
     with open(path, "w", newline="") as fh:
         CsvWriter(fh, header, kinds).writerows(rows)
+
+
+def write_columns(path, header, kinds, columns) -> None:
+    """Write a whole CSV file: header, then one column of values per kind
+    (see CsvWriter.writecolumns)."""
+    with open(path, "w", newline="") as fh:
+        CsvWriter(fh, header, kinds).writecolumns(columns)

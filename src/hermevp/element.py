@@ -41,7 +41,10 @@ class QuadRule:
         return len(self.points)
 
 
+@lru_cache(maxsize=32)
 def gauss_rule(n: int) -> QuadRule:
+    """The n-point rule; cached, since QuadRule and its arrays are
+    read-only and every caller can share one."""
     if n < 1:
         raise InvalidSpec(f"quadrature rule needs at least one point, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)

@@ -412,6 +412,22 @@ class TestFEFunction:
                                        rng.standard_normal(dofmap.n_free))
         assert np.array_equal(u(mesh.nodes[:-1]), u.node_values[:-1])
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_end_data_returned_exactly(self, p):
+        # at x = 1 the local coordinate is 1, where the power form gives a
+        # rounded sum of coefficients; the stored end data are returned
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
+                                   n_elements=16, kind="exp"))
+        rng = np.random.default_rng(20 + p)
+        u = FEFunction(mesh=mesh, p=p, node_values=rng.standard_normal(17),
+                       node_slopes=rng.standard_normal(17),
+                       bubbles=rng.standard_normal((16, p - 3)))
+        end = np.array([u.node_values[-1], u.node_slopes[-1]])
+        assert np.array_equal(u(1.0, (0, 1)), [end])
+        assert np.array_equal(u([0.5, 1.0, 1.0], (1, 0, 2))[1:, :2],
+                              [end[::-1]] * 2)
+        assert u(1.0)[0] == end[0] and u(1.0, deriv=1)[0] == end[1]
+
     def test_local_coordinates_equal_point_calls(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=5,
                                    n_elements=16, kind="exp"))

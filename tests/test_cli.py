@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hermevp.cli import main
+from hermevp.cli import COMMANDS, COMMON_FLAGS, OPTIONS, main
 
 
 def run(capsys, *argv):
@@ -39,6 +39,15 @@ class TestSolve:
         for row in (first, last):
             assert abs(float(row["u"])) < 1e-13
             assert abs(float(row["du"])) < 1e-12
+
+    def test_mode_files_end_at_clamped_zero(self, tmp_path, capsys):
+        rc, _, _ = run(capsys, "solve", "--p", "3", "--n", "16",
+                       "--epsilon", "1e-2", "--modes", "3",
+                       "--out", str(tmp_path))
+        assert rc == 0
+        for m in (1, 2, 3):
+            lines = (tmp_path / f"mode_{m}.csv").read_bytes().splitlines()
+            assert lines[1] == b"0,0,0" and lines[-1] == b"1,0,0"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -167,6 +176,30 @@ class TestExitCodes:
         assert err.startswith("error: InvalidSpec: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,quantity", [
+        (("solve", "--n", "8", "--tol", "-inf"), "tolerance"),
+        (("solve", "--n", "8", "--tol", "-nan"), "tolerance"),
+        (("solve", "--n", "8", "--epsilon", "-1e-3"), "epsilon"),
+        (("solve", "--n", "8", "--beta", "-1e-2"), "beta"),
+        (("mesh-dump", "--n", "8", "--epsilon", "-1e-3"), "epsilon"),
+        (("interp-study", "--n", "8,16", "--beta", "-1e-3"), "beta"),
+        (("convergence", "--n", "8,12,16", "--epsilon", "-1e-3,1e-2"),
+         "epsilon"),
+        (("convergence", "--n", "-8,12,16"), "n_elements"),
+        (("solve", "--n", "8", "--to", "-inf"), "tolerance"),
+        (("mesh-dump", "--n", "8", "--eps", "-1e-3"), "epsilon"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_negative_value_after_flag(self, tmp_path, capsys, argv,
+                                       quantity):
+        # argparse reads -inf or -1e-3 as an option string unless joined;
+        # an abbreviated flag is joined like its full name
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1
+        assert quantity in err and "expected one argument" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_out_not_a_directory(self, tmp_path, capsys, sub):
         blocker = tmp_path / "file"
@@ -176,6 +209,28 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: InvalidSpec: ")
         assert len(err.splitlines()) == 1
+
+
+class TestHelp:
+    def help_text(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        assert exit_.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_top_level_lists_every_command(self, capsys):
+        text = self.help_text(capsys)
+        for command, (_, help_, _, _) in COMMANDS.items():
+            assert f"{command} {help_}" in text
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_lists_every_flag_with_default(self, capsys, command):
+        text = self.help_text(capsys, command)
+        _, _, flags, overrides = COMMANDS[command]
+        for dest in flags + COMMON_FLAGS:
+            _, default, help_ = overrides.get(dest, OPTIONS[dest])
+            assert f"--{dest.replace('_', '-')} " in text
+            assert f"{help_} (default: {default})" in text
 
 
 class TestCoefficientExpressions:
@@ -229,6 +284,24 @@ class TestConvergence:
                          "--out", str(tmp_path))
         assert rc == 2
         assert err.startswith("error: InvalidSpec: ")
+
+    @pytest.mark.parametrize("argv,quantity", [
+        (("--n", "0,12,16"), "n_elements"),
+        (("--n", "6,12,16"), "divisible by 4"),
+        (("--ref-n", "-5"), "n_elements"),
+        (("--modes", "0"), "mode"),
+        (("--tol", "-1e-3"), "tolerance"),
+        (("--beta", "-1e-3"), "beta"),
+        (("--p", "2"), "degree"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_refused_spec_leaves_no_file(self, tmp_path, capsys, argv,
+                                         quantity):
+        rc, _, err = run(capsys, "convergence", "--n", "8,12,16",
+                         "--epsilon", "1e-2", *argv, "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1 and quantity in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_reference_size_rejected(self, tmp_path, capsys):
         rc, _, err = run(capsys, "convergence", "--n", "8,12,16",

@@ -24,6 +24,19 @@ class TestGaussRule:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(InvalidSpec):
             gauss_rule(0)
+        with pytest.raises(InvalidSpec):
+            gauss_rule(0)                   # errors are not cached
+
+    def test_shared_rule_is_read_only(self):
+        rule = gauss_rule(7)
+        assert gauss_rule(7) is rule
+        with pytest.raises(ValueError):
+            rule.points[0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5
+        assert np.array_equal(rule.points,
+                              0.5 * (np.polynomial.legendre.leggauss(7)[0]
+                                     + 1.0))
 
 
 class TestHermiteBasis:

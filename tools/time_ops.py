@@ -4,7 +4,8 @@
 
 BEFORE_SRC and AFTER_SRC are the ``src`` directories of the two checkouts,
 for example a parent checkout and the working tree.  The sides alternate
-for ROUNDS rounds, each round in a fresh process per side.  In a round
+for ROUNDS rounds, each round in a fresh process per side; the side
+that runs first alternates, starting with before.  In a round
 every op runs ``hermevp.cli.main`` once as a warm-up and then REPEATS
 more times.  The JSON holds, per op and side, the median,
 quartiles and minimum of all timed runs in seconds, the per-round medians,
@@ -92,10 +93,11 @@ def one_round(src: Path) -> dict:
     return {"env": env, "times": times}
 
 
-def summary(times: list) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "min_s": min(times),
-            "runs": len(times)}
+def summary(values: list, unit: str = "s") -> dict:
+    """Median, quartiles and minimum of values, keyed with their unit."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3,
+            f"min_{unit}": min(values), "runs": len(values)}
 
 
 def run_side(src: Path) -> dict:
@@ -124,8 +126,10 @@ def main(argv=None) -> int:
     times = {side: {name: [] for name in OPS} for side in sides}
     medians = {side: {name: [] for name in OPS} for side in sides}
     env = {}
-    for _ in range(ROUNDS):
-        for side, src in sides.items():
+    for i in range(ROUNDS):
+        # the side that runs first alternates, so neither one always
+        # meets the machine in the same state
+        for side, src in list(sides.items())[::1 if i % 2 == 0 else -1]:
             result = run_side(Path(src).resolve())
             env[side] = result["env"]
             for name, runs in result["times"].items():
