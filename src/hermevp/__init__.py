@@ -25,16 +25,15 @@ from .errors import (AmbiguousSign, AssumptionViolated, BadGrouping,
                      HermevpError, InvalidLayerWidth, InvalidSpec, KTooLarge,
                      NoConvergence, NonpositiveError, NotPositiveDefinite,
                      RegionOverlap, TooFewPoints, WrongMeshKind, ZeroVector)
-from .mesh import (BoundsReport, GradingFunction, Mesh, MeshKind, MeshSpec,
-                   Region, build_exp_mesh, build_mesh, build_shishkin_mesh,
-                   build_uniform_mesh, check_mesh_bounds, mesh_to_csv)
+from .mesh import (BoundsReport, Mesh, MeshKind, MeshSpec, Region, build_mesh,
+                   check_mesh_bounds, mesh_to_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousSign", "AssumptionViolated", "BadGrouping", "BoundsReport",
     "CoefficientSet", "CoefficientViolation", "DegreeTooLow",
-    "DimensionMismatch", "DofMap", "FEFunction", "GradingFunction",
+    "DimensionMismatch", "DofMap", "FEFunction",
     "HermevpError", "HermiteData", "InterpRecord", "InterpReport",
     "InvalidLayerWidth", "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
     "MeshSpec", "NoConvergence", "NonpositiveError",
@@ -43,8 +42,7 @@ __all__ = [
     "SlopeFit", "SolverConfig", "Spectrum", "StudyRecord", "StudyReport",
     "SymBandMatrix", "TooFewPoints", "WrongMeshKind", "ZeroVector",
     "align_sign", "assemble", "build_dof_map",
-    "build_exp_mesh", "build_mesh", "build_shishkin_mesh",
-    "build_uniform_mesh", "check_mesh_bounds", "compute_reference",
+    "build_mesh", "check_mesh_bounds", "compute_reference",
     "convergence_study", "default_reference_n", "discrete_max_error",
     "element_matrices", "energy_norm_error", "eval_layer_function",
     "fit_slope", "gauss_rule", "hermite_basis", "hermite_interpolant",

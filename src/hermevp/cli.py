@@ -201,15 +201,19 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidSpec(f"mesh sizes must be strictly ascending, "
                           f"got {n_values}")
-
+    # every mesh and solver spec the studies build is checked before the
+    # first CSV is opened, so a refused value leaves no partial file
     for eps in ns.epsilon:
-        coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, eps)
-        # every mesh and solver spec the study builds is checked before its
-        # CSV is opened, so a refused value leaves no partial file
         for n in n_values + ([] if ns.ref_n is None else [ns.ref_n]):
             MeshSpec(epsilon=eps, beta=ns.beta, p=ns.p, n_elements=n,
                      kind=ns.mesh)
-        SolverConfig(k=ns.modes, tol=ns.tol)
+    SolverConfig(k=ns.modes, tol=ns.tol)
+    if ns.ref_n is not None and ns.ref_n <= n_values[-1]:
+        raise InvalidSpec(f"reference size --ref-n {ns.ref_n} must exceed "
+                          f"the largest mesh size {n_values[-1]}")
+
+    for eps in ns.epsilon:
+        coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, eps)
         stem = os.path.join(ns.out, f"study_eps{eps:g}")
         csv_path = stem + ".csv"
         with open(csv_path, "w", newline="") as fh:
@@ -380,19 +384,28 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.type.__name__.strip("_")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raise every parse error, from a bad value to an unknown or ambiguous
+    flag or a missing command, as InvalidSpec instead of printing usage
+    and exiting."""
+
+    def error(self, message):
+        raise InvalidSpec(message)
+
+
 def build_parser(command=None):
     """The top-level parser and the subparser of command.  Every command
     is registered with its help, but only command gets its flags: the
     others are never parsed, and each flag costs a help formatter."""
-    parser = argparse.ArgumentParser(
-        prog="hermevp", exit_on_error=False,
+    parser = _Parser(
+        prog="hermevp",
         description="Fourth-order singularly perturbed eigenproblems with "
                     "C1 Hermite elements on layer-adapted meshes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
     invoked = None
     for name, (run, text, flags, overrides) in COMMANDS.items():
-        sp = sub.add_parser(name, help=text, exit_on_error=False,
-                            formatter_class=_HelpFormatter,
+        sp = sub.add_parser(name, help=text, formatter_class=_HelpFormatter,
                             add_help=(name == command))
         sp.set_defaults(run=run)
         if name != command:
@@ -451,10 +464,7 @@ def _parse_options(argv=None) -> argparse.Namespace:
     flags become its defaults and argv is parsed again."""
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser, invoked = build_parser(argv[0] if argv else None)
-    try:
-        ns = parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
-        raise InvalidSpec(str(exc)) from None
+    ns = parser.parse_args(argv)
     if ns.config is None:
         return ns
     flags = COMMANDS[ns.command][2] + COMMON_FLAGS
@@ -463,7 +473,7 @@ def _parse_options(argv=None) -> argparse.Namespace:
         **{key: value for key, value in values.items() if key in flags})
     try:
         return parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
+    except InvalidSpec as exc:
         raise InvalidSpec(f"{ns.config}: {exc}") from None
 
 

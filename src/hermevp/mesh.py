@@ -1,15 +1,22 @@
 """Layer-adapted 1D meshes on [0, 1].
 
-Three families: exponentially graded (exp), piecewise-uniform Shishkin, and
-plain uniform.  The exp mesh packs N/4-1 geometrically graded elements into
-each boundary layer using the grading function
+Every mesh has one layout: a left layer of nodes 0 = x_0 < ... < x_L,
+equal-width middle elements from x_L to 1 - x_L, and a right layer that
+mirrors the left, x_{N-j} = 1 - x_j.  Mesh.n_layer = L counts the elements
+in each layer.  The three families differ only in their layer map, L and
+the formula for their middle nodes:
 
-    phi(t) = -ln(1 - 4 C t),     C = 1 - exp(-beta / ((p+1) eps)),
+    exp       x_j = (eps/beta)(p+1) phi(j/N) with the grading function
+              phi(t) = -ln(1 - 4 C t), C = 1 - exp(-beta/((p+1) eps));
+              L = N/4 - 1 and N/2 + 2 middle elements, from np.linspace
+    shishkin  x_j = 4 tau j/N with tau = min(1/4, (p+1)(eps/beta) ln N);
+              L = N/4 and N/2 middle elements tau + (1 - 2 tau) i/(N/2)
+    uniform   L = 0 and N middle elements, from np.linspace
 
-with nodes x_j = (eps/beta)(p+1) phi(j/N) on the left, the mirror image on
-the right, and N/2+2 equal elements across the middle.  Every node comes from
-the closed-form expression for its index (no cumulative sums), which keeps
-the mirror symmetry x_j + x_{N-j} = 1 exact to rounding.
+Every node comes from the closed-form expression for its index (no
+cumulative sums), so the mirror symmetry x_j + x_{N-j} = 1 is exact to
+rounding.  The two middle formulas are kept apart because either one
+applied to the other family moves its nodes by a few ulp.
 """
 
 from __future__ import annotations
@@ -73,41 +80,17 @@ class MeshSpec:
 
 
 @dataclass(frozen=True)
-class GradingFunction:
-    """phi(t) = -ln(1 - 4 c_pe t) on [0, 1/4).
-
-    c_pe = 1 - exp(-beta/((p+1) eps)) lies in (0, 1]; for eps small enough
-    the float value rounds to exactly 1.0, which is fine everywhere phi is
-    evaluated (arguments stay <= 1/4 - 1/N).
-    """
-
-    c_pe: float
-
-    @classmethod
-    def from_spec(cls, spec: MeshSpec) -> "GradingFunction":
-        c = 1.0 - math.exp(-spec.beta / ((spec.p + 1) * spec.epsilon))
-        return cls(c_pe=c)
-
-    def __post_init__(self):
-        if not (0.0 < self.c_pe <= 1.0):
-            raise InvalidSpec(f"c_pe must lie in (0, 1], got {self.c_pe}")
-
-    def phi(self, t):
-        t = np.asarray(t, dtype=float)
-        arg = 1.0 - 4.0 * self.c_pe * t
-        if np.any(arg <= 0.0):
-            raise InvalidSpec("phi argument outside its domain (1 - 4 c t <= 0)")
-        return -np.log(arg)
-
-
-@dataclass(frozen=True)
 class Mesh:
-    """Nodes, widths and per-element region tags; immutable after build."""
+    """Nodes, widths and the layer element count; immutable after build.
+
+    n_layer elements lie in each boundary layer (0 on a uniform mesh), and
+    the N - 2 n_layer elements between the layers are interior.
+    """
 
     spec: MeshSpec
     nodes: np.ndarray
     widths: np.ndarray
-    regions: tuple[Region, ...]
+    n_layer: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -117,18 +100,33 @@ class Mesh:
     def n_elements(self) -> int:
         return len(self.widths)
 
+    @property
+    def regions(self) -> tuple[Region, ...]:
+        """The region of each element, left to right."""
+        n = self.n_layer
+        return ((Region.LEFT_LAYER,) * n
+                + (Region.INTERIOR,) * (self.n_elements - 2 * n)
+                + (Region.RIGHT_LAYER,) * n)
+
     def transition_left(self) -> float:
-        """Left transition node x_{N/4-1} (exp) or tau (shishkin)."""
-        spec = self.spec
-        if spec.kind == MeshKind.EXP:
-            return float(self.nodes[spec.n_elements // 4 - 1])
-        if spec.kind == MeshKind.SHISHKIN:
-            return float(self.nodes[spec.n_elements // 4])
-        raise WrongMeshKind("uniform meshes have no transition point")
+        """Last left-layer node x_{n_layer}: x_{N/4-1} (exp) or tau (shishkin)."""
+        if self.n_layer == 0:
+            raise WrongMeshKind("uniform meshes have no transition point")
+        return float(self.nodes[self.n_layer])
 
 
-def _finish(spec: MeshSpec, nodes: np.ndarray, regions) -> Mesh:
-    nodes = nodes + 0.0  # normalize -0.0 at the left endpoint
+def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
+    """The mesh with left-layer nodes layer (x_0 = 0 .. x_L), the interior
+    nodes middle strictly between x_L and 1 - x_L, and the right layer
+    1 - x_j mirrored from the left."""
+    x_t = float(layer[-1])
+    if x_t >= 0.5:
+        raise RegionOverlap(
+            f"graded region reaches x = {x_t:.4g} >= 1/2; "
+            f"epsilon = {spec.epsilon} is too large for N = {spec.n_elements}"
+        )
+    # + 0.0 normalizes the -0.0 a layer map may give at x_0
+    nodes = np.concatenate([layer, middle, 1.0 - layer[::-1]]) + 0.0
     widths = np.diff(nodes)
     if np.any(widths <= 0.0):
         # the left layer sits near 0, where doubles are dense; its mirror
@@ -139,84 +137,32 @@ def _finish(spec: MeshSpec, nodes: np.ndarray, regions) -> Mesh:
             f"right-layer nodes 1 - x_j collapse because doubles near 1 are "
             f"np.spacing(1.0) = {np.spacing(1.0):.2g} apart"
         )
-    return Mesh(spec=spec, nodes=nodes, widths=widths, regions=tuple(regions))
-
-
-def build_uniform_mesh(spec: MeshSpec) -> Mesh:
-    if spec.kind != MeshKind.UNIFORM:
-        raise WrongMeshKind(f"spec kind is {spec.kind.value}, not uniform")
-    N = spec.n_elements
-    nodes = np.linspace(0.0, 1.0, N + 1)
-    return _finish(spec, nodes, [Region.INTERIOR] * N)
-
-
-def build_shishkin_mesh(spec: MeshSpec) -> Mesh:
-    """Piecewise-uniform mesh with transition point
-    tau = min(1/4, (p+1)(eps/beta) ln N); N/4 elements per layer."""
-    if spec.kind != MeshKind.SHISHKIN:
-        raise WrongMeshKind(f"spec kind is {spec.kind.value}, not shishkin")
-    N = spec.n_elements
-    tau = min(0.25, (spec.p + 1) * (spec.epsilon / spec.beta) * math.log(N))
-    j = np.arange(N + 1)
-    nodes = np.empty(N + 1)
-    left = j <= N // 4
-    right = j >= 3 * N // 4
-    mid = ~(left | right)
-    nodes[left] = 4.0 * tau * j[left] / N
-    nodes[mid] = tau + (1.0 - 2.0 * tau) * (j[mid] - N // 4) / (N // 2)
-    nodes[right] = 1.0 - 4.0 * tau * (N - j[right]) / N
-    regions = ([Region.LEFT_LAYER] * (N // 4)
-               + [Region.INTERIOR] * (N // 2)
-               + [Region.RIGHT_LAYER] * (N // 4))
-    return _finish(spec, nodes, regions)
-
-
-def build_exp_mesh(spec: MeshSpec) -> Mesh:
-    """Exponentially graded mesh.
-
-    Left layer nodes j = 0..N/4-1 from the grading formula, the mirrored
-    right layer for j = 3N/4+1..N, and N/2+2 equal middle elements between
-    the transition nodes x_{N/4-1} and x_{3N/4+1} = 1 - x_{N/4-1}.
-    """
-    if spec.kind != MeshKind.EXP:
-        raise WrongMeshKind(f"spec kind is {spec.kind.value}, not exp")
-    N = spec.n_elements
-    grading = GradingFunction.from_spec(spec)
-    scale = (spec.epsilon / spec.beta) * (spec.p + 1)
-
-    x_left = scale * float(grading.phi((N // 4 - 1) / N))
-    if x_left >= 0.5:
-        raise RegionOverlap(
-            f"graded region reaches x = {x_left:.4g} >= 1/2; "
-            f"epsilon = {spec.epsilon} is too large for N = {N}"
-        )
-    x_right = 1.0 - x_left
-    step = (x_right - x_left) / (N // 2 + 2)
-
-    j = np.arange(N + 1)
-    nodes = np.empty(N + 1)
-    left = j <= N // 4 - 1
-    right = j >= 3 * N // 4 + 1
-    mid = ~(left | right)
-    nodes[left] = scale * grading.phi(j[left] / N)
-    nodes[mid] = x_left + step * (j[mid] - N // 4 + 1)
-    nodes[right] = 1.0 - scale * grading.phi((N - j[right]) / N)
-
-    regions = ([Region.LEFT_LAYER] * (N // 4 - 1)
-               + [Region.INTERIOR] * (N // 2 + 2)
-               + [Region.RIGHT_LAYER] * (N // 4 - 1))
-    return _finish(spec, nodes, regions)
-
-
-_BUILDERS = {
-    MeshKind.EXP: build_exp_mesh,
-    MeshKind.SHISHKIN: build_shishkin_mesh,
-    MeshKind.UNIFORM: build_uniform_mesh,
-}
+    return Mesh(spec=spec, nodes=nodes, widths=widths, n_layer=len(layer) - 1)
 
 
 def build_mesh(spec: MeshSpec) -> Mesh:
-    return _BUILDERS[MeshKind(spec.kind)](spec)
+    """The spec's mesh: its family's left layer and middle nodes, laid out
+    with the mirrored right layer by _layout."""
+    N, p = spec.n_elements, spec.p
+    scale = (spec.epsilon / spec.beta) * (p + 1)
+    if spec.kind is MeshKind.UNIFORM:
+        return _layout(spec, np.zeros(1), np.linspace(0.0, 1.0, N + 1)[1:-1])
+    if spec.kind is MeshKind.SHISHKIN:
+        tau = min(0.25, scale * math.log(N))
+        layer = 4.0 * tau * np.arange(N // 4 + 1) / N
+        middle = tau + (1.0 - 2.0 * tau) * np.arange(1, N // 2) / (N // 2)
+        return _layout(spec, layer, middle)
+    c_pe = 1.0 - math.exp(-spec.beta / ((p + 1) * spec.epsilon))
+    if c_pe == 0.0:
+        raise InvalidSpec(
+            f"grading constant 1 - exp(-beta/((p+1) epsilon)) rounds to 0: "
+            f"beta = {spec.beta:g} is too small for epsilon = "
+            f"{spec.epsilon:g} and p = {p}"
+        )
+    layer = scale * -np.log(1.0 - 4.0 * c_pe * (np.arange(N // 4) / N))
+    x_t = layer[-1]
+    return _layout(spec, layer,
+                   np.linspace(x_t, 1.0 - x_t, N // 2 + 3)[1:-1])
 
 
 @dataclass(frozen=True)
@@ -225,8 +171,8 @@ class BoundsReport:
 
     For each graded element, bound = (eps/beta)(p+1) e^{x/((p+1) eps)} with x
     the element endpoint deeper into the domain (mirrored on the right), and
-    ratio = h / bound.  transition_decay is e^{-beta x_{N/4-1}/eps}, compared
-    against N^{-(p+1)}.
+    ratio = h / bound.  transition_decay is e^{-beta x_L/eps} at the last
+    layer node x_L, compared against N^{-(p+1)}.
     """
 
     element_index: np.ndarray
@@ -250,8 +196,8 @@ def check_mesh_bounds(mesh: Mesh) -> BoundsReport:
     N = spec.n_elements
     scale = (spec.epsilon / spec.beta) * (spec.p + 1)
 
-    left_el = np.arange(0, N // 4 - 1)
-    right_el = np.arange(3 * N // 4 + 1, N)
+    left_el = np.arange(mesh.n_layer)
+    right_el = np.arange(N - mesh.n_layer, N)
     idx = np.concatenate([left_el, right_el])
     widths = mesh.widths[idx]
     depth = np.concatenate([mesh.nodes[left_el + 1], 1.0 - mesh.nodes[right_el]])

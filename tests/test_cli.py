@@ -123,6 +123,24 @@ class TestExitCodes:
         assert rc == 6
         assert err.startswith("error: KTooLarge: only 29 of the 30 modes")
 
+    def test_grading_constant_rounding_to_zero(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "mesh-dump", "--beta", "1e-17",
+                         "--epsilon", "1", "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: grading constant")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,quantity", [
+        (("solve", "--m", "3"), "ambiguous option: --m"),
+        (("solve", "--bogus", "3"), "unrecognized arguments: --bogus"),
+        ((), "required: command"),
+    ], ids=lambda v: " ".join(v) or "bare" if isinstance(v, tuple) else v)
+    def test_parse_error_is_one_line(self, capsys, argv, quantity):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1 and quantity in err
+
     def test_epsilon_too_small_for_mesh(self, tmp_path, capsys):
         rc, _, err = run(capsys, "mesh-dump", "--p", "3", "--n", "64",
                          "--epsilon", "1e-16", "--out", str(tmp_path))
@@ -301,6 +319,24 @@ class TestConvergence:
         assert rc == 2
         assert err.startswith("error: InvalidSpec: ")
         assert len(err.splitlines()) == 1 and quantity in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ref_n", ["12", "16"])
+    def test_reference_not_finer_than_ladder(self, tmp_path, capsys, ref_n):
+        rc, out, err = run(capsys, "convergence", "--n", "8,12,16",
+                           "--epsilon", "1e-2", "--ref-n", ref_n,
+                           "--out", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: InvalidSpec: ")
+        assert len(err.splitlines()) == 1 and "--ref-n" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_later_epsilon_leaves_no_file(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "convergence", "--n", "8,12,16",
+                         "--epsilon", "1e-2,2", "--ref-n", "48",
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: ") and "epsilon" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_reference_size_rejected(self, tmp_path, capsys):

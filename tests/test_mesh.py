@@ -1,13 +1,13 @@
 import csv
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from hermevp import (InvalidSpec, MeshKind, MeshSpec, Region, RegionOverlap,
-                     WrongMeshKind, build_exp_mesh, build_mesh,
-                     build_shishkin_mesh, build_uniform_mesh,
-                     check_mesh_bounds, mesh_to_csv)
-from hermevp.mesh import GradingFunction
+                     WrongMeshKind, build_mesh, check_mesh_bounds,
+                     mesh_to_csv)
 
 
 class TestMeshSpec:
@@ -45,28 +45,6 @@ class TestMeshSpec:
         with pytest.raises((InvalidSpec, ValueError)):
             MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16,
                      kind="chebyshev")
-
-
-class TestGradingFunction:
-    def test_grading_constant_close_to_one_for_small_epsilon(self):
-        g = GradingFunction.from_spec(
-            MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16, kind="exp"))
-        assert 0.0 < g.c_pe <= 1.0
-        assert g.c_pe == pytest.approx(1.0, abs=1e-100)
-
-    def test_phi_monotone(self):
-        g = GradingFunction.from_spec(
-            MeshSpec(epsilon=1e-2, beta=1.0, p=3, n_elements=16, kind="exp"))
-        t = np.linspace(0.0, 0.24, 50)
-        vals = g.phi(t)
-        assert np.all(np.diff(vals) > 0.0)
-        assert vals[0] == 0.0
-
-    def test_phi_rejects_arguments_outside_domain(self):
-        g = GradingFunction.from_spec(
-            MeshSpec(epsilon=1e-2, beta=1.0, p=3, n_elements=16, kind="exp"))
-        with pytest.raises(InvalidSpec):
-            g.phi(np.array([1.0]))
 
 
 class TestExpMesh:
@@ -116,17 +94,21 @@ class TestExpMesh:
             build_mesh(MeshSpec(epsilon=0.9, beta=1.0, p=3,
                                 n_elements=16, kind="exp"))
 
-    def test_builder_rejects_other_kinds(self):
-        spec = MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16,
-                        kind="uniform")
-        with pytest.raises(WrongMeshKind):
-            build_exp_mesh(spec)
-
     def test_graded_widths_increase_toward_interior(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-6, beta=1.0, p=3,
                                    n_elements=32, kind="exp"))
         left = mesh.widths[:7]
         assert np.all(np.diff(left) > 0.0)
+
+    def test_grading_constant_rounding_to_zero_refused(self):
+        # beta/((p+1) eps) = 2.5e-18 makes 1 - exp(-beta/((p+1) eps)) = 0,
+        # which would put every layer node at 0
+        with pytest.raises(InvalidSpec) as info:
+            build_mesh(MeshSpec(epsilon=1.0, beta=1e-17, p=3, n_elements=16,
+                                kind="exp"))
+        msg = str(info.value)
+        assert "grading constant" in msg and "beta = 1e-17" in msg
+        assert "collapse" not in msg
 
 
 class TestShishkinMesh:
@@ -155,12 +137,6 @@ class TestShishkinMesh:
                                    n_elements=32, kind="shishkin"))
         assert np.max(np.abs(mesh.nodes + mesh.nodes[::-1] - 1.0)) < 1e-16
 
-    def test_builder_rejects_other_kinds(self):
-        spec = MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16,
-                        kind="exp")
-        with pytest.raises(WrongMeshKind):
-            build_shishkin_mesh(spec)
-
 
 class TestUniformMesh:
     def test_nodes_equispaced(self):
@@ -175,11 +151,46 @@ class TestUniformMesh:
         with pytest.raises(WrongMeshKind):
             mesh.transition_left()
 
-    def test_builder_rejects_other_kinds(self):
-        spec = MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16,
-                        kind="shishkin")
-        with pytest.raises(WrongMeshKind):
-            build_uniform_mesh(spec)
+
+class TestLayout:
+    @pytest.mark.parametrize("kind,n_layer", [
+        ("exp", 32 // 4 - 1), ("shishkin", 32 // 4), ("uniform", 0)])
+    def test_layer_counts_and_regions(self, kind, n_layer):
+        mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=3,
+                                   n_elements=32, kind=kind))
+        assert mesh.n_layer == n_layer
+        assert mesh.regions == ((Region.LEFT_LAYER,) * n_layer
+                                + (Region.INTERIOR,) * (32 - 2 * n_layer)
+                                + (Region.RIGHT_LAYER,) * n_layer)
+
+    @pytest.mark.parametrize("kind", ["exp", "shishkin"])
+    def test_layers_mirror_exactly(self, kind):
+        mesh = build_mesh(MeshSpec(epsilon=1e-6, beta=2.0, p=5,
+                                   n_elements=64, kind=kind))
+        n = mesh.n_layer
+        assert np.array_equal(mesh.nodes[-n - 1:],
+                              1.0 - mesh.nodes[n::-1])
+
+    # sha256 over the little-endian node bytes of every mesh of the grid,
+    # in product order; the values were computed before the families
+    # shared one layout, so any moved node or sign of zero shows here.
+    # The exp digest depends on the platform's log being bit-reproducible.
+    GOLDEN_GRID = ((1e-2, 1e-6, 1e-10), (0.5, 1.0, 2.0), (3, 5),
+                   (8, 16, 64, 256))
+    GOLDEN_DIGESTS = {
+        "exp": "baec5c616e245b80ec5019d9c386993a45e9da1cd4e815e374039e9d13dd7c48",
+        "shishkin": "761f51c6b979348c97391d62fb19d308f515cdf9811afa54d917db8217bdd991",
+        "uniform": "b3c82bd2ad7c9b05c24eeb99169d365c830b751ce5a56a11c5248f2d963c3351",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+    def test_golden_node_digest(self, kind):
+        sha = hashlib.sha256()
+        for eps, beta, p, n in itertools.product(*self.GOLDEN_GRID):
+            mesh = build_mesh(MeshSpec(epsilon=eps, beta=beta, p=p,
+                                       n_elements=n, kind=kind))
+            sha.update(mesh.nodes.astype("<f8").tobytes())
+        assert sha.hexdigest() == self.GOLDEN_DIGESTS[kind]
 
 
 class TestMeshImmutability:

@@ -36,10 +36,14 @@ ROUNDS = 5
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
-# the op names follow the benchmark workloads whose ops they are
+# the op names follow the benchmark workloads whose ops they are;
+# large_solve is no benchmark op: at 32766 dofs a stage that turns O(n^2)
+# dominates its time
 OPS = {
     "fine_solve": ("solve", "--p", "5", "--n", "512", "--modes", "5",
                    "--epsilon", "1e-06", "--mesh", "exp", "--preset", "expx"),
+    "large_solve": ("solve", "--p", "5", "--n", "8192", "--modes", "5",
+                    "--epsilon", "1e-08", "--mesh", "exp"),
     "small_solve": ("solve", "--p", "3", "--n", "32", "--modes", "3",
                     "--epsilon", "1e-04", "--mesh", "exp", "--preset",
                     "expx"),
