@@ -463,7 +463,15 @@ def _parse_options(argv=None) -> argparse.Namespace:
     """Parse argv; with --config, the file's values for this command's
     flags become its defaults and argv is parsed again."""
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    parser, invoked = build_parser(argv[0] if argv else None)
+    first = argv[0] if argv else ""
+    # the top-level parser knows only -h/--help, which argparse also
+    # matches by a prefix such as --he
+    if first.startswith("-") and not (first == "-h" or len(first) > 2
+                                      and "--help".startswith(first)):
+        raise InvalidSpec(
+            f"{first} comes before the command; flags go after it, as in "
+            f"hermevp solve {first} ...")
+    parser, invoked = build_parser(first or None)
     ns = parser.parse_args(argv)
     if ns.config is None:
         return ns

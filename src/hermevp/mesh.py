@@ -78,6 +78,11 @@ class MeshSpec:
                     f"got {self.n_elements}"
                 )
 
+    @property
+    def layer_scale(self) -> float:
+        """(eps/beta)(p+1), the length scale of the graded layers."""
+        return (self.epsilon / self.beta) * (self.p + 1)
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -115,6 +120,13 @@ class Mesh:
         return float(self.nodes[self.n_layer])
 
 
+def _scale_text(spec: MeshSpec) -> str:
+    """The layer scale with both of its parameters, for refusals: the
+    layer width follows (p+1) epsilon/beta, so either can be out of range."""
+    return (f"the layer scale (p+1) epsilon/beta = {spec.layer_scale:.3g} "
+            f"(epsilon = {spec.epsilon:g}, beta = {spec.beta:g})")
+
+
 def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
     """The mesh with left-layer nodes layer (x_0 = 0 .. x_L), the interior
     nodes middle strictly between x_L and 1 - x_L, and the right layer
@@ -123,7 +135,7 @@ def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
     if x_t >= 0.5:
         raise RegionOverlap(
             f"graded region reaches x = {x_t:.4g} >= 1/2; "
-            f"epsilon = {spec.epsilon} is too large for N = {spec.n_elements}"
+            f"{_scale_text(spec)} is too large for N = {spec.n_elements}"
         )
     # + 0.0 normalizes the -0.0 a layer map may give at x_0
     nodes = np.concatenate([layer, middle, 1.0 - layer[::-1]]) + 0.0
@@ -132,10 +144,10 @@ def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
         # the left layer sits near 0, where doubles are dense; its mirror
         # 1 - x_j is where nodes run out of distinct values first
         raise InvalidSpec(
-            f"mesh nodes are not strictly increasing: epsilon = "
-            f"{spec.epsilon:g} is too small for N = {spec.n_elements}, the "
-            f"right-layer nodes 1 - x_j collapse because doubles near 1 are "
-            f"np.spacing(1.0) = {np.spacing(1.0):.2g} apart"
+            f"mesh nodes are not strictly increasing: {_scale_text(spec)} is "
+            f"too small for N = {spec.n_elements}, the right-layer nodes "
+            f"1 - x_j collapse because doubles near 1 are np.spacing(1.0) "
+            f"= {np.spacing(1.0):.2g} apart"
         )
     return Mesh(spec=spec, nodes=nodes, widths=widths, n_layer=len(layer) - 1)
 
@@ -144,7 +156,7 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     """The spec's mesh: its family's left layer and middle nodes, laid out
     with the mirrored right layer by _layout."""
     N, p = spec.n_elements, spec.p
-    scale = (spec.epsilon / spec.beta) * (p + 1)
+    scale = spec.layer_scale
     if spec.kind is MeshKind.UNIFORM:
         return _layout(spec, np.zeros(1), np.linspace(0.0, 1.0, N + 1)[1:-1])
     if spec.kind is MeshKind.SHISHKIN:
@@ -194,7 +206,7 @@ def check_mesh_bounds(mesh: Mesh) -> BoundsReport:
     if spec.kind != MeshKind.EXP:
         raise WrongMeshKind("mesh bounds are defined for exp meshes only")
     N = spec.n_elements
-    scale = (spec.epsilon / spec.beta) * (spec.p + 1)
+    scale = spec.layer_scale
 
     left_el = np.arange(mesh.n_layer)
     right_el = np.arange(N - mesh.n_layer, N)

@@ -141,6 +141,22 @@ class TestExitCodes:
         assert err.startswith("error: InvalidSpec: ")
         assert len(err.splitlines()) == 1 and quantity in err
 
+    def test_flag_before_command(self, capsys):
+        rc, out, err = run(capsys, "--epsilon", "1e-2", "solve")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: InvalidSpec: --epsilon comes before "
+                              "the command; flags go after it")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,code,beta", [
+        (("--beta", "1e300", "--epsilon", "1", "--n", "8"), 2, "1e+300"),
+        (("--beta", "1e-17",), 3, "1e-17"),
+    ], ids=["collapse", "overlap"])
+    def test_mesh_refusal_names_beta(self, tmp_path, capsys, argv, code,
+                                     beta):
+        rc, _, err = run(capsys, "mesh-dump", *argv, "--out", str(tmp_path))
+        assert rc == code and "epsilon/beta" in err and f"beta = {beta}" in err
+
     def test_epsilon_too_small_for_mesh(self, tmp_path, capsys):
         rc, _, err = run(capsys, "mesh-dump", "--p", "3", "--n", "64",
                          "--epsilon", "1e-16", "--out", str(tmp_path))
@@ -235,6 +251,14 @@ class TestHelp:
             main([*argv, "--help"])
         assert exit_.value.code == 0
         return " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("--he",),
+                                      ("solve", "--help")], ids=" ".join)
+    def test_help_exits_zero_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hermevp")
 
     def test_top_level_lists_every_command(self, capsys):
         text = self.help_text(capsys)

@@ -1,10 +1,15 @@
+import hashlib
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hermevp import (BadGrouping, DegreeTooLow, DimensionMismatch,
-                     HermiteData, InvalidSpec, PiecewiseFunction, gauss_rule,
-                     hermite_basis, hermite_interpolant, shape_table)
-from hermevp.element import eval_layer_function
+                     HermiteData, InvalidSpec, MeshSpec, PiecewiseFunction,
+                     build_mesh, gauss_rule, hermite_basis,
+                     hermite_interpolant, shape_table)
+from hermevp.element import _fused_multiply_add, eval_layer_function
 
 
 class TestGaussRule:
@@ -195,6 +200,25 @@ class TestHermiteInterpolant:
         exact = xs**5 - 2 * xs**4 + xs - 3
         assert np.max(np.abs(f(xs) - exact)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reproduces_degree_2n_plus_1_on_graded_nodes(self, n):
+        # 12 intervals whose widths grow by 1.5 from left to right, so
+        # every group has unequal widths and any group size up to 4
+        # divides them.  The power-basis build cancels terms of size
+        # about 10^(2n-2), so the bound grows with n.
+        widths = 1.5 ** np.arange(12)
+        x = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+        coef = np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n + 2)
+        dcoef = np.polynomial.polynomial.polyder(coef)
+        poly = np.polynomial.polynomial.polyval
+        f = hermite_interpolant(
+            HermiteData(nodes=x, values=poly(x, coef), slopes=poly(x, dcoef)),
+            n=n)
+        xs = np.linspace(0.0, 1.0, 997)
+        tol = 1e-14 * 100.0 ** (n - 1)
+        assert np.max(np.abs(f(xs) - poly(xs, coef))) < tol
+        assert np.max(np.abs(f(xs, deriv=1) - poly(xs, dcoef))) < 100.0 * tol
+
     def test_grouping_must_divide_interval_count(self):
         x = np.linspace(0.0, 1.0, 5)
         data = HermiteData(nodes=x, values=np.sin(x), slopes=np.cos(x))
@@ -225,6 +249,54 @@ class TestHermiteInterpolant:
         slope1 = -np.polyfit(np.log(ns), np.log(e1), 1)[0]
         assert abs(slope0 - 4.0) < 0.2
         assert abs(slope1 - 3.0) < 0.2
+
+
+class TestInterpolantDigest:
+    # sha256 over the little-endian breaks and coefficient bytes of the
+    # layer function's interpolant, built as interp_rate_study builds it
+    # (group (p-1)//2, beta = 1), on every mesh of the grid in product
+    # order; sizes the group does not divide are skipped.  The values come
+    # from a group-by-group nppoly.polymul construction on x86-64 with
+    # OpenBLAS, so any coefficient that moves from it shows here.  They
+    # depend on the platform's exp and log being bit-reproducible.
+    GRID = ((1e-3, 1e-5, 1e-8), (3, 4, 5, 6, 7),
+            (16, 32, 48, 64, 96, 128, 256))
+    GOLDEN_DIGESTS = {
+        "exp": "5cb4a66f85ad0c7f0bdc6c0372420d13b256550340924b80c9d612414445585f",
+        "shishkin": "be68d04768786ee484e6a64805743a0ff7c4c1378714a08c659283a96ac01e29",
+        "uniform": "0322023e7882724fff064ee5c7aeb3cbfa29a940baaa7ecb80c341e391751147",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+    def test_golden_coefficient_digest(self, kind):
+        sha = hashlib.sha256()
+        for eps, p, n in itertools.product(*self.GRID):
+            group = (p - 1) // 2
+            if n % group:
+                continue
+            nodes = build_mesh(MeshSpec(epsilon=eps, beta=1.0, p=p,
+                                        n_elements=n, kind=kind)).nodes
+            f = hermite_interpolant(HermiteData(
+                nodes=nodes, values=eval_layer_function(nodes, eps, 1.0),
+                slopes=eval_layer_function(nodes, eps, 1.0, deriv=1)), group)
+            sha.update(f.breaks.astype("<f8").tobytes())
+            sha.update(f.coeffs.astype("<f8").tobytes())
+        assert sha.hexdigest() == self.GOLDEN_DIGESTS[kind]
+
+
+class TestFusedMultiplyAdd:
+    def test_rounds_once(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 3000)) * 10.0 ** rng.integers(
+            -20, 20, (2, 3000))
+        # free sums, near-total cancellation and a small addend
+        c = np.concatenate([rng.standard_normal(1000),
+                            -(a[1000:2000] * b[1000:2000])
+                            * (1.0 + rng.integers(-3, 4, 1000) * 2.0**-52),
+                            a[2000:] * b[2000:] * 2.0**-40])
+        exact = [float(Fraction(x) * Fraction(y) + Fraction(z))
+                 for x, y, z in zip(a, b, c)]
+        assert _fused_multiply_add(a, b, c).tolist() == exact
 
 
 class TestLayerFunction:

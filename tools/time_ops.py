@@ -55,6 +55,9 @@ OPS = {
     "table1": ("table1",),
     "interp_study": ("interp-study", "--p", "5", "--n", "16,32,64,128,256",
                      "--epsilon", "1e-08", "--mesh", "exp"),
+    # groups of one interval, where interp_study has groups of two
+    "interp_study_p3": ("interp-study", "--p", "3", "--n", "16,32,64,128",
+                        "--epsilon", "1e-05", "--mesh", "shishkin"),
     "mesh_dump": ("mesh-dump", "--p", "3", "--n", "16", "--epsilon", "1e-06",
                   "--mesh", "exp"),
 }
