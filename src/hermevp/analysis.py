@@ -233,11 +233,9 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
 
         x0 = (nodes[:-1, None] + mesh.widths[:, None] * xi[None, :]).ravel()
         # values and slopes in one located pass, turned in place into the
-        # errors I f - f and (I f)' - f', where f' = -(beta/epsilon) f
+        # errors I f - f and (I f)' - f'
         err = interp(x0, (0, 1))
-        f0 = eval_layer_function(x0, epsilon, beta)
-        err[:, 0] -= f0
-        err[:, 1] += (beta / epsilon) * f0
+        err -= eval_layer_function(x0, epsilon, beta, deriv=(0, 1))
         e0, e1 = np.abs(err, out=err).max(axis=0)
 
         xg = (nodes[:-1, None]

@@ -464,15 +464,15 @@ def _parse_options(argv=None) -> argparse.Namespace:
     flags become its defaults and argv is parsed again."""
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     first = argv[0] if argv else ""
-    # the top-level parser knows only -h/--help, which argparse also
-    # matches by a prefix such as --he
-    if first.startswith("-") and not (first == "-h" or len(first) > 2
-                                      and "--help".startswith(first)):
+    parser, invoked = build_parser(first or None)
+    try:
+        ns = parser.parse_args(argv)
+    except InvalidSpec:
+        if not first.startswith("-"):
+            raise
         raise InvalidSpec(
             f"{first} comes before the command; flags go after it, as in "
-            f"hermevp solve {first} ...")
-    parser, invoked = build_parser(first or None)
-    ns = parser.parse_args(argv)
+            f"hermevp solve {first} ...") from None
     if ns.config is None:
         return ns
     flags = COMMANDS[ns.command][2] + COMMON_FLAGS

@@ -268,11 +268,14 @@ def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
     Every group and node is built at once, on arrays indexed (group, node,
     coefficient), coefficients lowest order first; only the factors and
     the terms of a product are looped over.  Each coefficient sums its
-    products as np.convolve sums them, so the coefficients equal those of
-    a construction by nppoly.polymul bit for bit.  np.convolve sums the
-    partially overlapping terms through the BLAS dot product, which
-    OpenBLAS's x86-64 kernels fuse, and the fully overlapping ones with
-    plain multiply-adds; the square l_i^2 does the same.
+    products in np.convolve's order: the square l_i^2 sums its partially
+    overlapping terms with fused multiply-adds, as OpenBLAS's x86-64 dot
+    product does inside np.convolve, and the fully overlapping ones with
+    plain multiply-adds.  The coefficients therefore equal those of a
+    construction by nppoly.polymul bit for bit for n <= 2 on any platform,
+    where a partial overlap sums one product or two equal ones and fused
+    and plain rounding agree, and for n >= 3 against a numpy whose BLAS
+    dot product fuses, as OpenBLAS's x86-64 kernel does.
     """
     if n < 1:
         raise InvalidSpec(f"group size must be >= 1, got {n}")
@@ -298,13 +301,12 @@ def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
         li = (shifted - tk[..., None] * li) / diff[..., None]
         dsum = dsum + 1.0 / diff
     # l_i^2 as a sum of shifted products: partial overlaps fused, the full
-    # overlap (coefficient n) not; below n = 3 a partial overlap sums one
-    # product or two equal ones, which round the same fused or not
-    madd = _fused_multiply_add if n >= 3 else (lambda a, b, c: c + a * b)
+    # overlap (coefficient n) not
     li2 = np.zeros(t.shape + (2 * n + 1,))
     for k in range(n + 1):
         cols = slice(k, k + n + 1)
-        li2[..., cols] = madd(li[..., k:k + 1], li, li2[..., cols])
+        li2[..., cols] = _fused_multiply_add(li[..., k:k + 1], li,
+                                             li2[..., cols])
     li2[..., n] = sum(li[..., k] * li[..., n - k] for k in range(n + 1))
     # h0 and h1: l_i^2 times the two-term factors (c0 + c1 t) and (t - t_i)
     c1 = -2.0 * dsum
@@ -326,13 +328,18 @@ def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
 def eval_layer_function(x, epsilon: float, beta: float,
                         side: str = "left", deriv: int = 0):
     """Boundary-layer exponential e^{-beta x/eps} (left) or its mirror
-    e^{-beta (1-x)/eps} (right), with exact derivatives."""
+    e^{-beta (1-x)/eps} (right), with exact derivatives; a tuple of
+    orders computes the exponential once and gives one column per order."""
     if epsilon <= 0.0 or beta <= 0.0:
         raise InvalidSpec("epsilon and beta must be positive")
     x = np.asarray(x, dtype=float)
     rate = beta / epsilon
     if side == "left":
-        return (-rate) ** deriv * np.exp(-rate * x)
-    if side == "right":
-        return rate**deriv * np.exp(-rate * (1.0 - x))
-    raise InvalidSpec(f"side must be 'left' or 'right', got {side!r}")
+        scale, e = -rate, np.exp(-rate * x)
+    elif side == "right":
+        scale, e = rate, np.exp(-rate * (1.0 - x))
+    else:
+        raise InvalidSpec(f"side must be 'left' or 'right', got {side!r}")
+    if np.ndim(deriv) == 0:
+        return scale**deriv * e
+    return np.stack([scale**d * e for d in deriv], axis=-1)

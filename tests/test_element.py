@@ -316,6 +316,15 @@ class TestLayerFunction:
         assert d1[0] == pytest.approx(-rate * np.exp(-rate * 0.3), rel=1e-14)
         assert d2[0] == pytest.approx(rate**2 * np.exp(-rate * 0.7), rel=1e-14)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tuple_of_orders_matches_single_calls(self, side):
+        x = np.linspace(0.0, 1.0, 7)
+        cols = eval_layer_function(x, 0.1, 2.0, side=side, deriv=(0, 1, 2))
+        assert cols.shape == (7, 3)
+        for k in range(3):
+            single = eval_layer_function(x, 0.1, 2.0, side=side, deriv=k)
+            assert cols[:, k].tobytes() == single.tobytes()
+
     def test_bad_arguments(self):
         with pytest.raises(InvalidSpec):
             eval_layer_function(np.array([0.5]), 0.0, 1.0)
