@@ -387,18 +387,14 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
         spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
         pts = sample_points(mesh, per_region)
         for m in range(modes):
-            u_h = FEFunction.from_dof_vector(mesh, dofmap,
-                                             spectrum.eigenvectors[:, m])
+            vec = spectrum.eigenvectors[:, m]
             u_ref = reference.functions[m]
             # columns u, u' at pts; flipping the samples' sign is exact
-            dh = u_h(pts, (0, 1))
+            dh = FEFunction.from_dof_vector(mesh, dofmap, vec)(pts, (0, 1))
             dr = u_ref(pts, (0, 1))
             sign = align_sign(dh[:, 0], dr[:, 0])
             dh *= sign
-            u_h = FEFunction(mesh=mesh, p=p,
-                             node_values=sign * u_h.node_values,
-                             node_slopes=sign * u_h.node_slopes,
-                             bubbles=sign * u_h.bubbles)
+            u_h = FEFunction.from_dof_vector(mesh, dofmap, sign * vec)
             lam = float(spectrum.eigenvalues[m])
             record = StudyRecord(
                 mesh_kind=kind.value,

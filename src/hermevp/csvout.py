@@ -14,8 +14,8 @@ repeated once per row, applied to all the fields in one flat list, laid
 out column by column with slice assignments.  So every row (or column) is
 checked for its length first; one of the wrong length raises
 ``DimensionMismatch`` before anything is written, instead of shifting
-fields into its neighbours.  A batch that holds a ``None`` is rendered
-row by row, each blank cell dropped from its row's format.
+fields into its neighbours.  A column that holds a ``None`` is turned into
+text first, its blank cells empty, and rendered as ``%s``.
 """
 
 from __future__ import annotations
@@ -49,15 +49,7 @@ class CsvWriter:
     def __init__(self, fh, header, kinds):
         self.fh = fh
         self.kinds = tuple(kinds)
-        self.fmt = _row_format(self.kinds)
         fh.write(",".join(header) + ROW_END)
-
-    def _line(self, row) -> str:
-        # blank cells drop out of the format along with their values
-        fields = ["" if v is None else _field(k)
-                  for k, v in zip(self.kinds, row)]
-        return (",".join(fields) + ROW_END) % tuple(
-            v for v in row if v is not None)
 
     def writerows(self, rows) -> None:
         """Rows as sequences of Python values, one per column."""
@@ -79,19 +71,14 @@ class CsvWriter:
                 f"CSV needs {width} columns of one length, got lengths "
                 f"{[len(c) for c in columns]}")
         n_rows = lengths.pop()
+        kinds = list(self.kinds)
         fields = [None] * (width * n_rows)
         for j, column in enumerate(columns):
+            if None in column:
+                field, kinds[j] = _field(kinds[j]), str
+                column = ["" if v is None else field % v for v in column]
             fields[j::width] = column
-        text = None
-        if not any(None in column for column, kind in zip(columns, self.kinds)
-                   if kind is not float):
-            try:
-                text = (self.fmt * n_rows) % tuple(fields)
-            except TypeError:       # %.17g refuses the None of a blank cell
-                pass
-        if text is None:
-            text = "".join([self._line(row) for row in zip(*columns)])
-        self.fh.write(text)
+        self.fh.write((_row_format(kinds) * n_rows) % tuple(fields))
 
     def writerow(self, row) -> None:
         self.writerows((row,))

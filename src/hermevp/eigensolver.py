@@ -98,11 +98,12 @@ def residual_norms(K: SymBandMatrix, M: SymBandMatrix, lams: np.ndarray,
 
 
 def _cluster_flags(lams: np.ndarray) -> np.ndarray:
+    mag = np.maximum(np.abs(lams), 1.0)
+    close = np.abs(np.diff(lams)) < CLUSTER_RTOL * np.maximum(mag[:-1],
+                                                               mag[1:])
     flags = np.zeros(len(lams), dtype=bool)
-    for i in range(len(lams) - 1):
-        gap = abs(lams[i + 1] - lams[i])
-        if gap < CLUSTER_RTOL * max(abs(lams[i]), abs(lams[i + 1]), 1.0):
-            flags[i] = flags[i + 1] = True
+    flags[:-1] |= close
+    flags[1:] |= close
     return flags
 
 

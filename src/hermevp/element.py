@@ -75,33 +75,19 @@ def _basis_coeffs(p: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _deriv_coeffs(p: int, deriv: int) -> np.ndarray:
-    """Power-basis coefficients of the deriv-th derivative of the reference
-    shapes; read-only, since every caller shares the cached table."""
-    coeffs = _basis_coeffs(p)
-    for _ in range(deriv):
-        coeffs = nppoly.polyder(coeffs, axis=1)
-    coeffs.setflags(write=False)
-    return coeffs
-
-
 def hermite_basis(p: int, s, deriv: int = 0) -> np.ndarray:
     """Evaluate all p+1 reference shapes (or a derivative) at points s.
 
     Returns an array of shape (p+1, len(s)).  Derivatives are taken on the
     reference element; mapping to an element of width h divides by h^deriv
-    and scales the slope shapes by h, which is assembly's business.
+    and scales the slope shapes by h, which is assembly's business.  Each
+    shape is one unit-width piece for piecewise_eval, so its 1/h is 1.
     """
-    if deriv < 0:
-        raise InvalidSpec(f"derivative order must be >= 0, got {deriv}")
-    coeffs = _deriv_coeffs(p, deriv)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    # Horner along the coefficient axis
-    out = np.zeros((p + 1, len(s)))
-    for c in coeffs.T[::-1]:
-        out = out * s + c[:, None]
-    return out
+    out = piecewise_eval(np.arange(p + 2.0), _basis_coeffs(p),
+                         np.tile(s, p + 1), deriv,
+                         piece=np.repeat(np.arange(p + 1), len(s)))
+    return out.reshape(p + 1, len(s))
 
 
 @dataclass(frozen=True)
@@ -227,35 +213,6 @@ class PiecewiseFunction:
         return piecewise_eval(self.breaks, self.coeffs, x, deriv)
 
 
-_SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant for doubles
-
-
-def _fused_multiply_add(a, b, c):
-    """a*b + c rounded once, as a hardware fused multiply-add rounds it.
-
-    a*b is split exactly into p + e (Dekker), c + p into s + r (Knuth's
-    two-sum); r + e rounded to odd and added to s then rounds like the
-    exact sum (Boldo and Melquiond, IEEE Trans. Comput. 57(4), 2008).
-    Exact for finite arguments whose product neither overflows nor
-    underflows.
-    """
-    p = a * b
-    x = _SPLIT * a
-    ah = x - (x - a)
-    x = _SPLIT * b
-    bh = x - (x - b)
-    e = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
-    s = c + p
-    x = s - c
-    r = (c - (s - x)) + (p - x)
-    v = r + e
-    x = v - r
-    err = (r - (v - x)) + (e - x)
-    even = (v.view(np.int64) & 1) == 0
-    return s + np.where((err != 0.0) & even,
-                        np.nextafter(v, np.copysign(np.inf, err)), v)
-
-
 def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
     """Piecewise Hermite interpolant with groups of n consecutive intervals.
 
@@ -267,15 +224,8 @@ def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
 
     Every group and node is built at once, on arrays indexed (group, node,
     coefficient), coefficients lowest order first; only the factors and
-    the terms of a product are looped over.  Each coefficient sums its
-    products in np.convolve's order: the square l_i^2 sums its partially
-    overlapping terms with fused multiply-adds, as OpenBLAS's x86-64 dot
-    product does inside np.convolve, and the fully overlapping ones with
-    plain multiply-adds.  The coefficients therefore equal those of a
-    construction by nppoly.polymul bit for bit for n <= 2 on any platform,
-    where a partial overlap sums one product or two equal ones and fused
-    and plain rounding agree, and for n >= 3 against a numpy whose BLAS
-    dot product fuses, as OpenBLAS's x86-64 kernel does.
+    the terms of a product are looped over.  Each coefficient of l_i^2
+    sums its products with plain multiply-adds in np.convolve's order.
     """
     if n < 1:
         raise InvalidSpec(f"group size must be >= 1, got {n}")
@@ -300,14 +250,10 @@ def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
         shifted[..., 1:] = li[..., :-1]
         li = (shifted - tk[..., None] * li) / diff[..., None]
         dsum = dsum + 1.0 / diff
-    # l_i^2 as a sum of shifted products: partial overlaps fused, the full
-    # overlap (coefficient n) not
+    # l_i^2 as a sum of shifted products
     li2 = np.zeros(t.shape + (2 * n + 1,))
     for k in range(n + 1):
-        cols = slice(k, k + n + 1)
-        li2[..., cols] = _fused_multiply_add(li[..., k:k + 1], li,
-                                             li2[..., cols])
-    li2[..., n] = sum(li[..., k] * li[..., n - k] for k in range(n + 1))
+        li2[..., k:k + n + 1] += li[..., k:k + 1] * li
     # h0 and h1: l_i^2 times the two-term factors (c0 + c1 t) and (t - t_i)
     c1 = -2.0 * dsum
     c0 = 1.0 + c1 * -t

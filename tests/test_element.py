@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hermevp import (BadGrouping, DegreeTooLow, DimensionMismatch,
                      HermiteData, InvalidSpec, MeshSpec, PiecewiseFunction,
                      build_mesh, gauss_rule, hermite_basis,
                      hermite_interpolant, shape_table)
-from hermevp.element import _fused_multiply_add, eval_layer_function
+from hermevp.element import eval_layer_function
 
 
 class TestGaussRule:
@@ -92,19 +91,6 @@ class TestHermiteBasis:
         with pytest.raises(InvalidSpec):
             hermite_basis(3, np.array([0.5]), deriv=-1)
 
-    @pytest.mark.parametrize("p", [3, 4, 5])
-    def test_cached_derivative_tables_read_only_and_exact(self, p):
-        from numpy.polynomial import polynomial as nppoly
-        from hermevp.element import _basis_coeffs, _deriv_coeffs
-        for deriv in range(4):
-            table = _deriv_coeffs(p, deriv)
-            assert not table.flags.writeable
-            expect = _basis_coeffs(p)
-            for _ in range(deriv):
-                expect = nppoly.polyder(expect, axis=1)
-            assert np.array_equal(table, expect)
-            assert _deriv_coeffs(p, deriv) is table
-
     def test_basis_spans_monomials(self):
         # A degree-p basis on [0, 1] must reproduce every monomial s^k.
         p = 5
@@ -127,6 +113,47 @@ class TestShapeTable:
         table = shape_table(3, rule)
         assert table.rule is rule
         assert np.array_equal(table.values, hermite_basis(3, rule.points, 0))
+
+
+class TestShapeDigest:
+    # sha256 over the little-endian bytes of shape_table(p)'s values, d1
+    # and d2, and of hermite_basis(p, S, d) for d = 0..3.  The values
+    # equal a Horner evaluation over nppoly.polyder tables of the shapes;
+    # any entry that moves by one rounding shows here.
+    S = np.linspace(0.0, 1.0, 101)
+    TABLE_DIGESTS = {
+        3: "081b3ed5fc4e13c6755dd07b0451e83ccd22225bb8367bf9580942380c60a967",
+        4: "1c9e49f1a26c9f449c80afd2a360dafd221782233179b59f3a88d99c1d2c3326",
+        5: "a34f1458b13ba56df7920f241a459c44e653e130a321f858c1e78ea6f41eabba",
+        6: "d2d3eacb9ea8ea0827dfc49eb8c22745c4f04e9c71e366363402bbb86ba533d2",
+        7: "9182bd070afa6e45f4073713a39b45ccfd252a097210292fdd6b33a12a4bf91f",
+        8: "7ac63d6455094870be14c2ebce5ba91ac19392ccfa64e8d95333e24aa74a5aad",
+    }
+    BASIS_DIGESTS = {
+        3: "0e9488e6ddadefcdf49e20933efde3e901bc16a4e6763f4c52837a36ca2b5506",
+        4: "89601102bda16806b07570e8e6807ff61229821bbc12dc610a70433782b55d01",
+        5: "27097f744e98390ec03e7e02cd7ec3ed72a8ef9769e2494fde226cbf4384cd12",
+        6: "9bec0f3006a7e9b416e756ad86dd89cc09f3b03261ac56231a685664db65240a",
+        7: "7c622d4540a3be2c1ecd64d5df41b680e3df6a3260b1ac386cb6ba55b442412d",
+        8: "41e7f80aecb1c8e15ac27312ef4eaf115b6c8a8cc0cebd3a61b5c56702024b75",
+    }
+
+    @staticmethod
+    def digest(arrays) -> str:
+        sha = hashlib.sha256()
+        for a in arrays:
+            sha.update(a.astype("<f8").tobytes())
+        return sha.hexdigest()
+
+    @pytest.mark.parametrize("p", sorted(TABLE_DIGESTS))
+    def test_shape_table_digest(self, p):
+        t = shape_table(p)
+        assert self.digest((t.values, t.d1, t.d2)) == self.TABLE_DIGESTS[p]
+
+    @pytest.mark.parametrize("p", sorted(BASIS_DIGESTS))
+    def test_hermite_basis_digest(self, p):
+        assert self.digest(hermite_basis(p, self.S, d)
+                           for d in range(4)) == self.BASIS_DIGESTS[p]
 
 
 class TestHermiteData:
@@ -255,16 +282,15 @@ class TestInterpolantDigest:
     # sha256 over the little-endian breaks and coefficient bytes of the
     # layer function's interpolant, built as interp_rate_study builds it
     # (group (p-1)//2, beta = 1), on every mesh of the grid in product
-    # order; sizes the group does not divide are skipped.  The values come
-    # from a group-by-group nppoly.polymul construction on x86-64 with
-    # OpenBLAS, so any coefficient that moves from it shows here.  They
-    # depend on the platform's exp and log being bit-reproducible.
-    GRID = ((1e-3, 1e-5, 1e-8), (3, 4, 5, 6, 7),
+    # order; sizes the group does not divide are skipped.  Any coefficient
+    # that moves shows here.  The values depend on the platform's exp and
+    # log being bit-reproducible.
+    GRID = ((1e-3, 1e-5, 1e-8), (3, 4, 5, 6),
             (16, 32, 48, 64, 96, 128, 256))
     GOLDEN_DIGESTS = {
-        "exp": "5cb4a66f85ad0c7f0bdc6c0372420d13b256550340924b80c9d612414445585f",
-        "shishkin": "be68d04768786ee484e6a64805743a0ff7c4c1378714a08c659283a96ac01e29",
-        "uniform": "0322023e7882724fff064ee5c7aeb3cbfa29a940baaa7ecb80c341e391751147",
+        "exp": "dbc3f2cc7696822205ed951cf3e4722dd5f722e573b58a87dfdc18e5e8acb3ef",
+        "shishkin": "b5a473bf07a196a08896e0e7546e83e58a3e0f828b58031c74de9e0ed8e6e1c4",
+        "uniform": "c950b4c7eb0a84061eb10b18215ee0ad5f63473fe0d04a4ae9d0536748e1c916",
     }
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
@@ -282,21 +308,6 @@ class TestInterpolantDigest:
             sha.update(f.breaks.astype("<f8").tobytes())
             sha.update(f.coeffs.astype("<f8").tobytes())
         assert sha.hexdigest() == self.GOLDEN_DIGESTS[kind]
-
-
-class TestFusedMultiplyAdd:
-    def test_rounds_once(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((2, 3000)) * 10.0 ** rng.integers(
-            -20, 20, (2, 3000))
-        # free sums, near-total cancellation and a small addend
-        c = np.concatenate([rng.standard_normal(1000),
-                            -(a[1000:2000] * b[1000:2000])
-                            * (1.0 + rng.integers(-3, 4, 1000) * 2.0**-52),
-                            a[2000:] * b[2000:] * 2.0**-40])
-        exact = [float(Fraction(x) * Fraction(y) + Fraction(z))
-                 for x, y, z in zip(a, b, c)]
-        assert _fused_multiply_add(a, b, c).tolist() == exact
 
 
 class TestLayerFunction:
