@@ -57,13 +57,16 @@ def align_sign(u_samples: np.ndarray, ref_samples: np.ndarray) -> float:
 
 
 def energy_norm_error(u_h: FEFunction, u_ref: FEFunction,
-                      epsilon: float, n_gauss: int = None) -> float:
+                      epsilon: float, n_gauss: int = None):
     """Percent error |||u_h - u_ref||| / |||u_ref||| * 100, integrated with
     Gauss quadrature on the union of the two meshes.
 
     The default rule has max(p_h, p_ref) + 1 points per interval: both
     functions are polynomials of degree <= p there, the integrands have
-    degree <= 2p, and p+1 Gauss points are exact to degree 2p+1."""
+    degree <= 2p, and p+1 Gauss points are exact to degree 2p+1.  A u_h
+    with a mode axis gives one error per mode, against u_ref's modes in
+    order, each equal bit for bit to the single-mode call; u_ref may hold
+    more modes than u_h."""
     breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
     if n_gauss is None:
         n_gauss = max(u_h.p, u_ref.p) + 1
@@ -79,18 +82,25 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction,
         e = np.searchsorted(nodes, breaks[:-1], side="right") - 1
         t = ((breaks[:-1] - nodes[e])[:, None]
              + widths[:, None] * rule.points[None, :]) / u.mesh.widths[e, None]
-        return u(t.ravel(), (0, 1, 2), element=np.repeat(e, rule.n_points))
+        out = u(t.ravel(), (0, 1, 2), element=np.repeat(e, rule.n_points))
+        return out.reshape(len(w), 3, -1)       # (point, order, mode)
 
     dh = derivatives(u_h)
     dr = derivatives(u_ref)
-    err_sq = 0.0
-    ref_sq = 0.0
-    for j, factor in enumerate((1.0, 1.0, epsilon**2)):
-        err_sq += factor * float(w @ (dh[:, j] - dr[:, j]) ** 2)
-        ref_sq += factor * float(w @ dr[:, j]**2)
-    if ref_sq <= 0.0:
-        raise NonpositiveError("reference function has zero energy norm")
-    return 100.0 * np.sqrt(err_sq / ref_sq)
+    if dr.shape[2] < dh.shape[2]:
+        raise DimensionMismatch(f"u_h has {dh.shape[2]} modes, u_ref only "
+                                f"{dr.shape[2]}")
+    errors = []
+    for m in range(dh.shape[2]):
+        err_sq = 0.0
+        ref_sq = 0.0
+        for j, factor in enumerate((1.0, 1.0, epsilon**2)):
+            err_sq += factor * float(w @ (dh[:, j, m] - dr[:, j, m]) ** 2)
+            ref_sq += factor * float(w @ dr[:, j, m]**2)
+        if ref_sq <= 0.0:
+            raise NonpositiveError("reference function has zero energy norm")
+        errors.append(100.0 * np.sqrt(err_sq / ref_sq))
+    return errors[0] if u_h.node_values.ndim == 1 else np.array(errors)
 
 
 def sample_points(mesh: Mesh, per_region: int = 1000) -> np.ndarray:
@@ -260,7 +270,7 @@ class ReferenceSolution:
 
     mesh: Mesh
     spectrum: Spectrum
-    functions: tuple        # one FEFunction per mode
+    function: FEFunction    # every mode, along its trailing axis
 
 
 def default_reference_n(n_values: Sequence[int]) -> int:
@@ -275,10 +285,10 @@ def compute_reference(kind, epsilon: float, beta: float, p: int, n_ref: int,
     mesh = build_mesh(spec)
     K, M, dofmap = assemble(mesh, shape_table(p), coeffs)
     spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
-    funcs = tuple(FEFunction.from_dof_vector(mesh, dofmap,
-                                             spectrum.eigenvectors[:, m])
-                  for m in range(modes))
-    return ReferenceSolution(mesh=mesh, spectrum=spectrum, functions=funcs)
+    return ReferenceSolution(
+        mesh=mesh, spectrum=spectrum,
+        function=FEFunction.from_dof_vector(mesh, dofmap,
+                                            spectrum.eigenvectors))
 
 
 @dataclass(frozen=True)
@@ -346,15 +356,16 @@ class StudyReport:
                 out[metric] = per_mode
         return out
 
-    def to_json(self, path) -> None:
+    def to_json(self, path) -> dict:
+        """Write the records and their slope blocks; returns the blocks."""
         payload = {
             "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
                         for r in self.records],
             "slopes": self.slope_blocks(),
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        return payload["slopes"]
 
 
 def convergence_study(kind, epsilon: float, beta: float, p: int,
@@ -386,15 +397,17 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
         K, M, dofmap = assemble(mesh, shapes, coeffs)
         spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
         pts = sample_points(mesh, per_region)
+        # every mode in one located pass: columns (u, u') per mode;
+        # flipping the samples' sign is exact
+        vecs = spectrum.eigenvectors
+        dh = FEFunction.from_dof_vector(mesh, dofmap, vecs)(pts, (0, 1))
+        dr = reference.function(pts, (0, 1))
+        signs = np.array([align_sign(dh[:, 0, m], dr[:, 0, m])
+                          for m in range(modes)])
+        dh *= signs
+        u_h = FEFunction.from_dof_vector(mesh, dofmap, signs * vecs)
+        energy = energy_norm_error(u_h, reference.function, epsilon)
         for m in range(modes):
-            vec = spectrum.eigenvectors[:, m]
-            u_ref = reference.functions[m]
-            # columns u, u' at pts; flipping the samples' sign is exact
-            dh = FEFunction.from_dof_vector(mesh, dofmap, vec)(pts, (0, 1))
-            dr = u_ref(pts, (0, 1))
-            sign = align_sign(dh[:, 0], dr[:, 0])
-            dh *= sign
-            u_h = FEFunction.from_dof_vector(mesh, dofmap, sign * vec)
             lam = float(spectrum.eigenvalues[m])
             record = StudyRecord(
                 mesh_kind=kind.value,
@@ -405,9 +418,9 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
                 mode=m + 1,
                 lambda_h=lam,
                 lambda_err_pct=100.0 * abs(lam - lam_ref[m]) / abs(lam_ref[m]),
-                energy_err_pct=energy_norm_error(u_h, u_ref, epsilon),
-                maxnorm_u_pct=discrete_max_error(dh[:, 0], dr[:, 0]),
-                maxnorm_du_pct=discrete_max_error(dh[:, 1], dr[:, 1]),
+                energy_err_pct=float(energy[m]),
+                maxnorm_u_pct=discrete_max_error(dh[:, 0, m], dr[:, 0, m]),
+                maxnorm_du_pct=discrete_max_error(dh[:, 1, m], dr[:, 1, m]),
             )
             records.append(record)
             if on_record is not None:

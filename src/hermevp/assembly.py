@@ -62,21 +62,32 @@ class SymBandMatrix:
             raise InvalidSpec(f"bad band matrix shape n={n}, bandwidth={bandwidth}")
         self.n = n
         self.bandwidth = bandwidth
-        self.band = np.zeros((bandwidth + 1, n))
+        # Fortran order is what BLAS and LAPACK take without a copy
+        self.band = np.zeros((bandwidth + 1, n), order="F")
 
-    def scatter(self, idx: np.ndarray, local: np.ndarray) -> None:
+    def band_index(self, idx: np.ndarray):
+        """Where scatter puts the entries of local matrices at idx: the mask
+        of the kept entries (free, upper triangle) and their flat positions
+        in band.  Matrices of one shape share it."""
+        idx = np.atleast_2d(idx)
+        ii, jj = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+        keep = (ii >= 0) & (ii <= jj)
+        jj = jj[keep]
+        return keep, self.bandwidth + ii[keep] - jj + (self.bandwidth + 1) * jj
+
+    def scatter(self, idx: np.ndarray, local: np.ndarray,
+                index=None) -> None:
         """Add dense symmetric local matrices at global indices: idx of shape
         (n_el, m) with local of shape (n_el, m, m), or one element's (m,) and
         (m, m).  Negative indices mark eliminated dofs and are skipped;
-        contributions to one entry are summed in element order."""
+        contributions to one entry are summed in element order.  index is
+        band_index(idx), when the caller has it already."""
         idx = np.atleast_2d(idx)
         local = np.reshape(local, (len(idx),) + np.shape(local)[-2:])
-        ii, jj = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-        keep = (ii >= 0) & (ii <= jj)
-        flat = (self.bandwidth + ii[keep] - jj[keep]) * self.n + jj[keep]
+        keep, flat = self.band_index(idx) if index is None else index
         self.band += np.bincount(flat, weights=local[keep],
                                  minlength=self.band.size
-                                 ).reshape(self.band.shape)
+                                 ).reshape(self.band.shape, order="F")
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -165,15 +176,13 @@ def element_matrices(h, shapes: ShapeTable, epsilon: float,
     single = np.ndim(h) == 0
     h = np.atleast_1d(np.asarray(h, dtype=float))[:, None, None]
     w = shapes.rule.weights
-    k2 = (shapes.d2 * w) @ shapes.d2.T
-    m0 = (shapes.values * w) @ shapes.values.T
     k1 = np.einsum("eq,iq,kq->eik", np.atleast_2d(a_vals) * w,
                    shapes.d1, shapes.d1)
     k0 = np.einsum("eq,iq,kq->eik", np.atleast_2d(b_vals) * w,
                    shapes.values, shapes.values)
 
-    k_loc = (epsilon**2 / h**3) * k2 + (1.0 / h) * k1 + h * k0
-    m_loc = h * m0
+    k_loc = (epsilon**2 / h**3) * shapes.k2 + (1.0 / h) * k1 + h * k0
+    m_loc = h * shapes.m0
     scale = np.ones((len(h), shapes.p + 1))
     scale[:, 1] = scale[:, 3] = h[:, 0, 0]
     k_loc *= scale[:, :, None] * scale[:, None, :]
@@ -221,8 +230,9 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
         raise InvalidSpec("no free dofs: mesh too small for clamped ends")
     K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
     M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-    K.scatter(dofmap.element_dofs, k_el)
-    M.scatter(dofmap.element_dofs, m_el)
+    index = K.band_index(dofmap.element_dofs)        # M's as well
+    K.scatter(dofmap.element_dofs, k_el, index)
+    M.scatter(dofmap.element_dofs, m_el, index)
     return K, M, dofmap
 
 
@@ -231,38 +241,49 @@ class FEFunction:
     """A member of the C1 space, evaluable anywhere with any derivative.
 
     Holds full (unconstrained) coefficient arrays; clamped end dofs are zero.
+    A trailing mode axis on every array, node_values of shape
+    (n_elements + 1, modes), holds several functions on one mesh, and
+    evaluating them gives the same trailing axis.
     """
 
     mesh: Mesh
     p: int
     node_values: np.ndarray
     node_slopes: np.ndarray
-    bubbles: np.ndarray = field(default=None)  # (n_elements, p-3)
+    bubbles: np.ndarray = field(default=None)  # (n_elements, p-3[, modes])
 
     def __post_init__(self):
         n = self.mesh.n_elements
+        self.node_values = np.asarray(self.node_values, dtype=float)
+        self.node_slopes = np.asarray(self.node_slopes, dtype=float)
+        modes = self.node_values.shape[1:]
         if self.bubbles is None:
-            self.bubbles = np.zeros((n, self.p - 3))
-        if (len(self.node_values) != n + 1 or len(self.node_slopes) != n + 1
-                or self.bubbles.shape != (n, self.p - 3)):
+            self.bubbles = np.zeros((n, self.p - 3) + modes)
+        if (self.node_values.shape != (n + 1,) + modes
+                or self.node_slopes.shape != (n + 1,) + modes
+                or self.bubbles.shape != (n, self.p - 3) + modes):
             raise DimensionMismatch("coefficient arrays do not match the mesh")
 
     @classmethod
     def from_dof_vector(cls, mesh: Mesh, dofmap: DofMap,
                         vec: np.ndarray) -> "FEFunction":
+        """The function with free dofs vec, of shape (n_free,), or of
+        shape (n_free, modes) for one function per column."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (dofmap.n_free,):
+        if vec.shape[:1] != (dofmap.n_free,) or vec.ndim > 2:
             raise DimensionMismatch(
-                f"dof vector shape {vec.shape}, expected ({dofmap.n_free},)"
+                f"dof vector shape {vec.shape}, expected ({dofmap.n_free},) "
+                f"or ({dofmap.n_free}, modes)"
             )
         n = mesh.n_elements
-        padded = np.concatenate([vec, [0.0]])   # index -1 reads as 0
-        values = np.zeros(n + 1)
-        slopes = np.zeros(n + 1)
+        modes = vec.shape[1:]
+        padded = np.concatenate([vec, np.zeros((1,) + modes)])  # -1 reads 0
+        values = np.zeros((n + 1,) + modes)
+        slopes = np.zeros((n + 1,) + modes)
         values[1:n] = padded[dofmap.value_indices]
         slopes[1:n] = padded[dofmap.slope_indices]
         bubbles = padded[dofmap.element_dofs[:, 4:]] if dofmap.p > 3 \
-            else np.zeros((n, 0))
+            else np.zeros((n, 0) + modes)
         return cls(mesh=mesh, p=dofmap.p, node_values=values,
                    node_slopes=slopes, bubbles=bubbles)
 
@@ -272,24 +293,33 @@ class FEFunction:
         deriv may also be a tuple of orders: the points are then located
         once and the result has shape (len(x), len(deriv)), one column per
         order, each equal to the single-order call.  The columns are
-        contiguous (Fortran order).  With element given, x holds local
-        coordinates in [0, 1] on those elements.  The per-element power
-        coefficients are rebuilt on every call, so edits to the
-        coefficient arrays show.  At the last node the value and slope
-        are the stored end data exactly, not a rounded sum of the last
-        element's coefficients at t = 1; other nodes sit at t = 0.
+        contiguous (Fortran order).  A function with a mode axis adds it
+        last, each mode equal bit for bit to a single-mode function's
+        call.  With element given, x holds local coordinates in [0, 1] on
+        those elements.  The per-element power coefficients are rebuilt
+        on every call, so edits to the coefficient arrays show.  At the
+        last node the value and slope are the stored end data exactly,
+        not a rounded sum of the last element's coefficients at t = 1;
+        other nodes sit at t = 0.
         """
-        h = self.mesh.widths
-        local = np.column_stack([self.node_values[:-1],
-                                 h * self.node_slopes[:-1],
-                                 self.node_values[1:],
-                                 h * self.node_slopes[1:], self.bubbles])
-        out = piecewise_eval(self.mesh.nodes, local @ _basis_coeffs(self.p),
-                             x, deriv, piece=element)
+        h = self.mesh.widths[:, None]
+        v = self.node_values.reshape(len(h) + 1, -1)    # (node, mode)
+        s = self.node_slopes.reshape(len(h) + 1, -1)
+        b = self.bubbles.reshape(len(h), self.p - 3, v.shape[1])
+        # one C-ordered (element, coefficient) table per mode, so each
+        # mode's product is the same BLAS call as a single function's
+        local = np.concatenate([np.stack([v[:-1], h * s[:-1], v[1:],
+                                          h * s[1:]], axis=1), b], axis=1)
+        table = np.ascontiguousarray(np.moveaxis(local, 2, 0)) \
+            @ _basis_coeffs(self.p)
+        coeffs = np.moveaxis(table, 0, 2) if self.node_values.ndim > 1 \
+            else table[0]
+        out = piecewise_eval(self.mesh.nodes, coeffs, x, deriv,
+                             piece=element)
         if element is None:
             at_end = np.atleast_1d(x) == self.mesh.nodes[-1]
             ends = {0: self.node_values[-1], 1: self.node_slopes[-1]}
-            columns = out.reshape(len(at_end), -1)      # a view of out
+            columns = out if np.ndim(deriv) else out[:, None]   # views
             for j, d in enumerate(np.atleast_1d(deriv)):
                 if d in ends:
                     columns[at_end, j] = ends[d]

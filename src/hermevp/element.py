@@ -15,7 +15,7 @@ degree p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -92,20 +92,34 @@ def hermite_basis(p: int, s, deriv: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShapeTable:
-    """Shapes and their first two reference derivatives at quadrature points."""
+    """Shapes and their first two reference derivatives at quadrature
+    points, with the coefficient-free element integrals they give:
+    k2[i, j] = sum_q w_q d2[i, q] d2[j, q] and m0 the same over values.
+    Every array is read-only, since the default tables are shared."""
 
     p: int
     rule: QuadRule
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    k2: np.ndarray = field(init=False)
+    m0: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        w = self.rule.weights
+        object.__setattr__(self, "k2", (self.d2 * w) @ self.d2.T)
+        object.__setattr__(self, "m0", (self.values * w) @ self.values.T)
+        for arr in (self.values, self.d1, self.d2, self.k2, self.m0):
+            arr.setflags(write=False)
 
 
 def shape_table(p: int, rule: QuadRule | None = None) -> ShapeTable:
     """Tabulate the degree-p basis; the default rule uses 2p Gauss points,
-    enough for products of basis second-derivatives times smooth data."""
+    enough for products of basis second-derivatives times smooth data.
+    With the default rule the table depends on p alone and one read-only
+    table per p is shared; an explicit rule tabulates a fresh one."""
     if rule is None:
-        rule = gauss_rule(2 * p)
+        return _default_shape_table(p)
     s = rule.points
     return ShapeTable(
         p=p,
@@ -114,6 +128,11 @@ def shape_table(p: int, rule: QuadRule | None = None) -> ShapeTable:
         d1=hermite_basis(p, s, 1),
         d2=hermite_basis(p, s, 2),
     )
+
+
+@lru_cache(maxsize=32)
+def _default_shape_table(p: int) -> ShapeTable:
+    return shape_table(p, gauss_rule(2 * p))
 
 
 @dataclass(frozen=True)
@@ -156,12 +175,18 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
     multiplied in d times.  An int deriv gives a 1-D array; a tuple gives
     one Fortran-order column per order, each equal bit for bit to the
     single-order call.  Orders above the degree give zeros.
+
+    coeffs of shape (pieces, coefficients, modes) hold several functions
+    on the same breaks, and the result gains a trailing mode axis.  The
+    modes are stacked along the piece axis, so each Horner step stays one
+    contiguous pass and every mode equals its own single-mode call bit
+    for bit.
     """
     orders = (deriv,) if np.ndim(deriv) == 0 else tuple(deriv)
     if any(d < 0 for d in orders):
         raise InvalidSpec(f"derivative order must be >= 0, got {deriv}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_pieces, n_coef = coeffs.shape
+    n_pieces, n_coef = coeffs.shape[:2]
     if piece is None:
         g = np.searchsorted(breaks, x, side="right") - 1
         np.clip(g, 0, n_pieces - 1, out=g)
@@ -171,10 +196,16 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
         g = np.asarray(piece)
         inv_h = np.take(1.0 / np.diff(breaks), g)
         t = x
+    modes = coeffs.shape[2:]
+    if modes:                    # mode m's pieces follow those of mode m-1
+        coeffs = np.moveaxis(coeffs, 2, 0).reshape(-1, n_coef)
+        g = (g + n_pieces * np.arange(modes[0])[:, None]).ravel()
+        inv_h = np.tile(inv_h, modes[0])
+        t = np.tile(t, modes[0])
 
     table = coeffs.T
-    out = np.empty((len(x), len(orders)), order="F")
-    row = np.empty(len(x))
+    out = np.empty((len(t), len(orders)), order="F")
+    row = np.empty(len(t))
     for j, d in enumerate(orders):
         col = out[:, j]
         if d >= n_coef:
@@ -190,6 +221,9 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
             col += row
         for _ in range(d):
             col *= inv_h
+    # a view: (point, order, mode) with every (order, mode) column contiguous
+    out = out.reshape((len(x),) + modes + (len(orders),), order="F")
+    out = np.moveaxis(out, -1, 1)
     return out[:, 0] if np.ndim(deriv) == 0 else out
 
 

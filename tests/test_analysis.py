@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
-                     FEFunction, InvalidSpec, MeshSpec, NonpositiveError,
-                     TooFewPoints, ZeroVector, align_sign, build_mesh,
-                     compute_reference, convergence_study,
+                     DimensionMismatch, FEFunction, InvalidSpec, MeshSpec,
+                     NonpositiveError, TooFewPoints, ZeroVector, align_sign,
+                     build_mesh, compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
                      energy_norm_error, fit_slope, gauss_rule,
                      interp_rate_study, sample_points)
@@ -67,6 +67,36 @@ class TestEnergyNormError:
                           node_values=coarse(fine_mesh.nodes),
                           node_slopes=coarse(fine_mesh.nodes, deriv=1))
         assert energy_norm_error(fine, coarse, epsilon=0.3) < 1e-10
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_modes_equal_single_mode_calls(self, p):
+        # the ladder rung and the reference each hold three modes; every
+        # mode's error equals the single-mode call bit for bit
+        def functions(n, seed):
+            rng = np.random.default_rng(seed)
+            mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
+                                       n_elements=n, kind="exp"))
+            values = rng.standard_normal((n + 1, 3))
+            slopes = rng.standard_normal((n + 1, 3))
+            values[[0, -1]] = slopes[[0, -1]] = 0.0
+            return FEFunction(mesh=mesh, p=p, node_values=values,
+                              node_slopes=slopes,
+                              bubbles=rng.standard_normal((n, p - 3, 3)))
+
+        def mode(u, m):
+            return FEFunction(mesh=u.mesh, p=p,
+                              node_values=u.node_values[:, m].copy(),
+                              node_slopes=u.node_slopes[:, m].copy(),
+                              bubbles=u.bubbles[..., m].copy())
+
+        u_h, u_ref = functions(16, p), functions(64, 10 + p)
+        errors = energy_norm_error(u_h, u_ref, epsilon=1e-3)
+        assert errors.shape == (3,)
+        for m in range(3):
+            assert errors[m] == energy_norm_error(mode(u_h, m),
+                                                  mode(u_ref, m), 1e-3)
+        with pytest.raises(DimensionMismatch):
+            energy_norm_error(u_h, mode(u_ref, 0), epsilon=1e-3)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_equals_per_derivative_loop(self, p):
@@ -272,7 +302,7 @@ class TestReference:
                                 epsilon=1e-2, a_floor=1.0)
         ref = compute_reference("exp", 1e-2, 1.0, 3, 64, coeffs, modes=2)
         assert ref.mesh.n_elements == 64
-        assert len(ref.functions) == 2
+        assert ref.function.node_values.shape == (65, 2)
         assert ref.spectrum.eigenvalues.shape == (2,)
 
 

@@ -439,3 +439,76 @@ class TestFEFunction:
         e = np.searchsorted(mesh.nodes, x, side="right") - 1
         t = (x - mesh.nodes[e]) * (1.0 / mesh.widths)[e]
         assert np.array_equal(u(t, (0, 1, 2), element=e), u(x, (0, 1, 2)))
+
+
+class TestFEFunctionModes:
+    """A trailing mode axis: every mode equals the function built from
+    its own dof vector, bit for bit."""
+
+    @staticmethod
+    def make(p, n_modes=3):
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
+                                   n_elements=16, kind="exp"))
+        _, _, dofmap = assemble(mesh, shape_table(p), default_coeffs())
+        rng = np.random.default_rng(30 + p)
+        vecs = rng.standard_normal((dofmap.n_free, n_modes))
+        return mesh, dofmap, vecs
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_from_dof_vector_stacks_modes(self, p):
+        mesh, dofmap, vecs = self.make(p)
+        u = FEFunction.from_dof_vector(mesh, dofmap, vecs)
+        assert u.node_values.shape == (17, 3)
+        assert u.bubbles.shape == (16, p - 3, 3)
+        for m in range(3):
+            single = FEFunction.from_dof_vector(mesh, dofmap, vecs[:, m])
+            assert np.array_equal(u.node_values[:, m], single.node_values)
+            assert np.array_equal(u.node_slopes[:, m], single.node_slopes)
+            assert np.array_equal(u.bubbles[..., m], single.bubbles)
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    @pytest.mark.parametrize("deriv", [0, 1, 2, (0, 1), (2, 0, 1)], ids=str)
+    def test_located_points_equal_single_calls(self, p, deriv):
+        mesh, dofmap, vecs = self.make(p)
+        u = FEFunction.from_dof_vector(mesh, dofmap, vecs)
+        rng = np.random.default_rng(40 + p)
+        # nodes, the last node among them, and the last node again
+        x = np.concatenate([mesh.nodes, rng.random(300), [1.0, 0.5, 1.0]])
+        out = u(x, deriv)
+        n_orders = () if np.ndim(deriv) == 0 else (len(deriv),)
+        assert out.shape == (len(x),) + n_orders + (3,)
+        for m in range(3):
+            single = FEFunction.from_dof_vector(mesh, dofmap, vecs[:, m])
+            assert np.array_equal(out[..., m], single(x, deriv))
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_local_coordinates_equal_single_calls(self, p):
+        mesh, dofmap, vecs = self.make(p)
+        u = FEFunction.from_dof_vector(mesh, dofmap, vecs)
+        rng = np.random.default_rng(50 + p)
+        e = np.concatenate([rng.integers(0, 16, 200), [15]])
+        t = np.concatenate([rng.random(200), [1.0]])   # the last node
+        out = u(t, (0, 1, 2), element=e)
+        for m in range(3):
+            single = FEFunction.from_dof_vector(mesh, dofmap, vecs[:, m])
+            assert np.array_equal(out[..., m], single(t, (0, 1, 2),
+                                                      element=e))
+
+    def test_end_data_returned_exactly_per_mode(self):
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=5,
+                                   n_elements=16, kind="exp"))
+        rng = np.random.default_rng(60)
+        u = FEFunction(mesh=mesh, p=5, node_values=rng.standard_normal(
+            (17, 2)), node_slopes=rng.standard_normal((17, 2)),
+            bubbles=rng.standard_normal((16, 2, 2)))
+        out = u([0.5, 1.0], (1, 0, 2))
+        assert np.array_equal(out[1, :2], [u.node_slopes[-1],
+                                           u.node_values[-1]])
+        assert np.array_equal(u(1.0)[0], u.node_values[-1])
+
+    def test_mode_axes_must_agree(self):
+        mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=3,
+                                   n_elements=4, kind="uniform"))
+        with pytest.raises(DimensionMismatch):
+            FEFunction(mesh=mesh, p=3, node_values=np.zeros((5, 2)),
+                       node_slopes=np.zeros(5))

@@ -225,13 +225,29 @@ class TestExitCodes:
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_negative_value_after_flag(self, tmp_path, capsys, argv,
                                        quantity):
-        # argparse reads -inf or -1e-3 as an option string unless joined;
-        # an abbreviated flag is joined like its full name
+        # a value that starts with one dash reaches its flag's check, after
+        # an abbreviated flag too
         rc, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert rc == 2
         assert err.startswith("error: InvalidSpec: ")
         assert len(err.splitlines()) == 1
         assert quantity in err and "expected one argument" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (("solve", "--tol", "-inf"),
+         "tolerance must be positive and finite, got -inf"),
+        (("solve", "--epsilon", "-1e-3"),
+         "epsilon must be positive, got -0.001"),
+        (("convergence", "--n", "-8,12,16"),
+         "n_elements must be a positive integer, got -8"),
+        (("solve", "--tol", "-1e-3x"),
+         "argument --tol: invalid float value: '-1e-3x'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_negative_value_message(self, tmp_path, capsys, argv, message):
+        rc, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err == f"error: InvalidSpec: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])

@@ -111,6 +111,16 @@ class TestShiftInvert:
         spec = solve_smallest(K, M, SolverConfig(k=2))
         assert spec.iterations >= 2
 
+    def test_study_reference_takes_fourteen_applications(self):
+        # the convergence study's reference: p = 3, N = 1024, k = 2, exp
+        # mesh, a = e^x, b = x, eps = 1e-6.  With ncv = 2k + 2 Lanczos
+        # vectors it takes 14 applications of C; scipy's default ncv = 20
+        # took 21
+        K, M, _ = assemble_problem(epsilon=1e-6, n=1024, p=3, kind="exp",
+                                   a=np.exp, b=lambda x: x)
+        spec = solve_smallest(K, M, SolverConfig(k=2))
+        assert spec.iterations == 14
+
     def test_iteration_cap_raises(self, monkeypatch):
         # evenly spaced eigenvalues leave Lanczos no gap to converge on
         # within one restart

@@ -8,7 +8,7 @@ from hermevp import (BadGrouping, DegreeTooLow, DimensionMismatch,
                      HermiteData, InvalidSpec, MeshSpec, PiecewiseFunction,
                      build_mesh, gauss_rule, hermite_basis,
                      hermite_interpolant, shape_table)
-from hermevp.element import eval_layer_function
+from hermevp.element import eval_layer_function, piecewise_eval
 
 
 class TestGaussRule:
@@ -114,6 +114,32 @@ class TestShapeTable:
         assert table.rule is rule
         assert np.array_equal(table.values, hermite_basis(3, rule.points, 0))
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_default_table_is_one_read_only_table_per_p(self, p):
+        table = shape_table(p)
+        assert shape_table(p) is table
+        assert shape_table(p + 1) is not table
+        for arr in (table.values, table.d1, table.d2, table.k2, table.m0):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 1.0
+
+    def test_explicit_rule_tabulates_a_fresh_table(self):
+        rule = gauss_rule(6)                 # the default rule of p = 3
+        fresh = shape_table(3, rule)
+        assert fresh is not shape_table(3)
+        assert fresh is not shape_table(3, rule)
+        for name in ("values", "d1", "d2", "k2", "m0"):
+            assert np.array_equal(getattr(fresh, name),
+                                  getattr(shape_table(3), name))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_coefficient_free_integrals(self, p):
+        table = shape_table(p)
+        w = table.rule.weights
+        assert np.array_equal(table.k2, (table.d2 * w) @ table.d2.T)
+        assert np.array_equal(table.m0, (table.values * w) @ table.values.T)
+
 
 class TestShapeDigest:
     # sha256 over the little-endian bytes of shape_table(p)'s values, d1
@@ -202,6 +228,45 @@ class TestPiecewiseFunction:
         f = PiecewiseFunction(np.array([0.0, 2.0]), np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(InvalidSpec):
             f(1.0, deriv=-1)
+
+
+class TestPiecewiseEvalModes:
+    """coeffs with a trailing mode axis evaluate every mode in one pass,
+    each equal bit for bit to its own single-mode call."""
+
+    @staticmethod
+    def problem(p, n_modes=3, seed=0):
+        rng = np.random.default_rng(seed)
+        breaks = np.cumsum(np.concatenate([[0.0], rng.random(9) + 1e-3]))
+        breaks /= breaks[-1]
+        coeffs = rng.standard_normal((9, p + 1, n_modes))
+        x = np.concatenate([breaks, rng.random(300), [1.0, 1.0, -0.5, 1.5]])
+        return breaks, coeffs, x
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    @pytest.mark.parametrize("deriv", [0, 2, (0, 1, 2), (3, 0)],
+                             ids=str)
+    def test_each_mode_equals_single_mode_call(self, p, deriv):
+        breaks, coeffs, x = self.problem(p)
+        out = piecewise_eval(breaks, coeffs, x, deriv)
+        n_orders = () if np.ndim(deriv) == 0 else (len(deriv),)
+        assert out.shape == (len(x),) + n_orders + (coeffs.shape[2],)
+        for m in range(coeffs.shape[2]):
+            single = piecewise_eval(breaks, np.ascontiguousarray(
+                coeffs[:, :, m]), x, deriv)
+            assert np.array_equal(out[..., m], single)
+
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_local_coordinates_per_mode(self, p):
+        breaks, coeffs, _ = self.problem(p, seed=1)
+        rng = np.random.default_rng(2)
+        piece = rng.integers(0, len(breaks) - 1, 200)
+        t = np.concatenate([rng.random(198), [0.0, 1.0]])
+        out = piecewise_eval(breaks, coeffs, t, (0, 1, 2), piece=piece)
+        for m in range(coeffs.shape[2]):
+            single = piecewise_eval(breaks, np.ascontiguousarray(
+                coeffs[:, :, m]), t, (0, 1, 2), piece=piece)
+            assert np.array_equal(out[..., m], single)
 
 
 class TestHermiteInterpolant:

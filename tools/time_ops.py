@@ -1,13 +1,16 @@
 """Time representative hermevp CLI ops on two checkouts and print one JSON.
 
-    python3 tools/time_ops.py BEFORE_SRC AFTER_SRC > BENCH_<date>_<topic>.json
+    python3 tools/time_ops.py [--ops NAME[,NAME...]] BEFORE_SRC AFTER_SRC
+
+prints the JSON to stdout, to be saved as BENCH_<date>_<topic>.json.
 
 BEFORE_SRC and AFTER_SRC are the ``src`` directories of the two checkouts,
-for example a parent checkout and the working tree.  The sides alternate
-for ROUNDS rounds, each round in a fresh process per side; the side
-that runs first alternates, starting with before.  In a round
-every op runs ``hermevp.cli.main`` once as a warm-up and then REPEATS
-more times.  The JSON holds, per op and side, the median,
+for example a parent checkout and the working tree.  --ops times only the
+named ops of OPS; without it every op runs, large_solve included, which
+takes minutes.  The sides alternate for ROUNDS rounds, each round in a
+fresh process per side; the side that runs first alternates, starting
+with before.  In a round every op runs ``hermevp.cli.main`` once as a
+warm-up and then REPEATS more times.  The JSON holds, per op and side, the median,
 quartiles and minimum of all timed runs in seconds, the per-round medians,
 and the number of rounds in which the after side's median was lower; with
 it the BLAS thread setting and the library versions.  BLAS is pinned to
@@ -78,8 +81,9 @@ def time_op(main, argv, out_dir) -> list:
     return times
 
 
-def one_round(src: Path) -> dict:
-    """Time every op on the hermevp under src; runs in its own process."""
+def one_round(src: Path, names: list) -> dict:
+    """Time the named ops on the hermevp under src; runs in its own
+    process."""
     sys.path.insert(0, str(src))
     import numpy
     import scipy
@@ -87,8 +91,8 @@ def one_round(src: Path) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = os.path.join(tmp, "out")
-        times = {name: time_op(cli_main, op, out_dir)
-                 for name, op in OPS.items()}
+        times = {name: time_op(cli_main, OPS[name], out_dir)
+                 for name in names}
     env = {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -107,8 +111,9 @@ def summary(values: list, unit: str = "s") -> dict:
             f"min_{unit}": min(values), "runs": len(values)}
 
 
-def run_side(src: Path) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--one-round", str(src)],
+def run_side(src: Path, names: list) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--one-round", str(src),
+                           ",".join(names)],
                           check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
 
@@ -118,9 +123,20 @@ def main(argv=None) -> int:
     threads = min(len(os.sched_getaffinity(0)), 2)
     for var in BLAS_THREAD_VARS:
         os.environ[var] = str(threads)
-    if len(args) == 2 and args[0] == "--one-round":
-        json.dump(one_round(Path(args[1]).resolve()), sys.stdout)
+    if len(args) == 3 and args[0] == "--one-round":
+        json.dump(one_round(Path(args[1]).resolve(), args[2].split(",")),
+                  sys.stdout)
         return 0
+    command = " ".join(["python3", "tools/time_ops.py", *args])
+    names = list(OPS)
+    if args[:1] == ["--ops"] and len(args) > 1:
+        names = args[1].split(",")
+        unknown = [name for name in names if name not in OPS]
+        if unknown:
+            print(f"unknown op(s) {', '.join(unknown)}; choose from "
+                  f"{', '.join(OPS)}", file=sys.stderr)
+            return 2
+        args = args[2:]
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -130,23 +146,23 @@ def main(argv=None) -> int:
             print(f"no hermevp sources under {src}", file=sys.stderr)
             return 2
 
-    times = {side: {name: [] for name in OPS} for side in sides}
-    medians = {side: {name: [] for name in OPS} for side in sides}
+    times = {side: {name: [] for name in names} for side in sides}
+    medians = {side: {name: [] for name in names} for side in sides}
     env = {}
     for i in range(ROUNDS):
         # the side that runs first alternates, so neither one always
         # meets the machine in the same state
         for side, src in list(sides.items())[::1 if i % 2 == 0 else -1]:
-            result = run_side(Path(src).resolve())
+            result = run_side(Path(src).resolve(), names)
             env[side] = result["env"]
             for name, runs in result["times"].items():
                 times[side][name] += runs
                 medians[side][name].append(statistics.median(runs))
 
     ops = {}
-    for name, op in OPS.items():
+    for name in names:
         ops[name] = {
-            "argv": " ".join(op),
+            "argv": " ".join(OPS[name]),
             **{side: {**summary(times[side][name]),
                       "round_medians_s": medians[side][name]}
                for side in sides},
@@ -156,7 +172,7 @@ def main(argv=None) -> int:
         }
     record = {
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
-        "command": " ".join(["python3", "tools/time_ops.py", *args]),
+        "command": command,
         "sides": sides,
         "rounds": ROUNDS,
         "repeats_per_round": REPEATS,
