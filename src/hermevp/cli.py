@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import (CSV_COLUMNS, CSV_KINDS, StudyRecord,
                        convergence_study, interp_rate_study)
 from .assembly import CoefficientSet, FEFunction, assemble
-from .csvout import CsvWriter, format_floats, write_columns, write_csv
+from .csvout import CsvWriter, float_fields, write_columns, write_csv
 from .eigensolver import SolverConfig, solve_smallest
 from .element import shape_table
 from .errors import CoefficientViolation, HermevpError, InvalidSpec
@@ -176,14 +176,13 @@ def cmd_solve(ns: argparse.Namespace) -> int:
               ("mode", "lambda", "residual"), (int, float, float), rows)
 
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), mesh.nodes]))
-    x_fields = format_floats(xs.tolist())
+    x_fields = float_fields(xs)
+    u_du = FEFunction.from_dof_vector(mesh, dofmap, spectrum.eigenvectors)(
+        xs, (0, 1))
     for m in range(modes):
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       spectrum.eigenvectors[:, m])
-        u_du = u(xs, (0, 1))
         write_columns(os.path.join(out, f"mode_{m + 1}.csv"),
-                      ("x", "u", "du"), (str, float, float),
-                      (x_fields, u_du[:, 0].tolist(), u_du[:, 1].tolist()))
+                      ("x", "u", "du"), (float, float, float),
+                      (x_fields, u_du[:, 0, m], u_du[:, 1, m]))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
           f"dof={dofmap.n_free}")

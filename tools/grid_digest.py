@@ -1,6 +1,7 @@
 """Digest every benchmark grid op's output on one checkout; print JSON lines.
 
     python3 tools/grid_digest.py SRC > digests.jsonl
+    python3 tools/grid_digest.py SRC --against OLD.jsonl
 
 SRC is the ``src`` directory of a checkout.  Every op of
 ``bench/workloads.grid()`` for every workload runs once through that
@@ -11,6 +12,11 @@ pinned to min(nproc, 2) threads as in the benchmark.  For each op one line
 output path masked, and the name and bytes of every file it wrote.  Two
 checkouts give the same outputs exactly when ``diff`` of their two files
 is empty.
+
+With ``--against OLD.jsonl``, a file the first form wrote, each op is
+compared with its line there instead: every op whose digest differs, or
+that OLD.jsonl lacks, is printed, then the count of differing ops, and
+the exit code is 1 if any differ.
 """
 
 from __future__ import annotations
@@ -55,9 +61,15 @@ def op_digest(main, argv, out_dir: Path) -> str:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or not (Path(args[0]) / "hermevp" / "cli.py").is_file():
+    if (len(args) not in (1, 3) or args[1:2] not in ([], ["--against"])
+            or not (Path(args[0]) / "hermevp" / "cli.py").is_file()):
         print(__doc__, file=sys.stderr)
         return 2
+    against = None
+    if len(args) == 3:
+        with open(args[2]) as fh:
+            against = {key: digest for line in fh
+                       for key, digest in json.loads(line).items()}
     threads = min(len(os.sched_getaffinity(0)), 2)
     for var in BLAS_THREAD_VARS:
         os.environ[var] = str(threads)
@@ -65,13 +77,22 @@ def main(argv=None) -> int:
     import workloads
     from hermevp.cli import main as cli_main
 
+    n_ops = n_differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
         for workload in workloads.WORKLOADS:
             for op in workloads.grid(workload):
+                key = workloads.op_key(op)
                 digest = op_digest(cli_main, op, out_dir)
-                print(json.dumps({workloads.op_key(op): digest}), flush=True)
-    return 0
+                n_ops += 1
+                if against is None:
+                    print(json.dumps({key: digest}), flush=True)
+                elif against.get(key) != digest:
+                    n_differ += 1
+                    print(f"differs: {key}", flush=True)
+    if against is not None:
+        print(f"{n_differ} of {n_ops} ops differ")
+    return 1 if n_differ else 0
 
 
 if __name__ == "__main__":
