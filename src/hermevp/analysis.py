@@ -356,8 +356,8 @@ class StudyReport:
                 out[metric] = per_mode
         return out
 
-    def to_json(self, path) -> dict:
-        """Write the records and their slope blocks; returns the blocks."""
+    def to_json(self, path) -> None:
+        """Write the records and their slope blocks."""
         payload = {
             "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
                         for r in self.records],
@@ -365,7 +365,6 @@ class StudyReport:
         }
         with open(path, "w") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
-        return payload["slopes"]
 
 
 def convergence_study(kind, epsilon: float, beta: float, p: int,

@@ -292,26 +292,26 @@ class FEFunction:
 
         deriv may also be a tuple of orders: the points are then located
         once and the result has shape (len(x), len(deriv)), one column per
-        order, each equal to the single-order call.  The columns are
-        contiguous (Fortran order).  A function with a mode axis adds it
-        last, each mode equal bit for bit to a single-mode function's
-        call.  With element given, x holds local coordinates in [0, 1] on
-        those elements.  The per-element power coefficients are rebuilt
-        on every call, so edits to the coefficient arrays show.  At the
-        last node the value and slope are the stored end data exactly,
-        not a rounded sum of the last element's coefficients at t = 1;
-        other nodes sit at t = 0.
+        order, each equal to the single-order call.  A function with a
+        mode axis adds it last, giving (point, order, mode), each mode
+        equal bit for bit to a single-mode function's call.  Every
+        (order, mode) column is contiguous.  With element given, x holds
+        local coordinates in [0, 1] on those elements.  The per-element
+        power coefficients are rebuilt on every call, so edits to the
+        coefficient arrays show.  At the last node the value and slope are
+        the stored end data exactly, not a rounded sum of the last
+        element's coefficients at t = 1; other nodes sit at t = 0.
         """
-        h = self.mesh.widths[:, None]
-        v = self.node_values.reshape(len(h) + 1, -1)    # (node, mode)
-        s = self.node_slopes.reshape(len(h) + 1, -1)
-        b = self.bubbles.reshape(len(h), self.p - 3, v.shape[1])
-        # one C-ordered (element, coefficient) table per mode, so each
-        # mode's product is the same BLAS call as a single function's
-        local = np.concatenate([np.stack([v[:-1], h * s[:-1], v[1:],
-                                          h * s[1:]], axis=1), b], axis=1)
-        table = np.ascontiguousarray(np.moveaxis(local, 2, 0)) \
-            @ _basis_coeffs(self.p)
+        h = self.mesh.widths
+        n = len(h)
+        v = self.node_values.reshape(n + 1, -1).T           # (mode, node)
+        s = self.node_slopes.reshape(n + 1, -1).T
+        b = self.bubbles.reshape(n, self.p - 3, len(v)).transpose(2, 0, 1)
+        # a C-ordered (mode, element, coefficient) table, so each mode's
+        # product is the same BLAS call as a single function's
+        table = np.concatenate([np.stack([v[:, :-1], h * s[:, :-1], v[:, 1:],
+                                          h * s[:, 1:]], axis=2), b],
+                               axis=2) @ _basis_coeffs(self.p)
         coeffs = np.moveaxis(table, 0, 2) if self.node_values.ndim > 1 \
             else table[0]
         out = piecewise_eval(self.mesh.nodes, coeffs, x, deriv,

@@ -145,8 +145,13 @@ def _number_list(text: str, cast, what: str) -> list:
     return values
 
 
-def _int_list(text: str) -> list:
-    return _number_list(text, int, "integer")
+def _ladder(text: str) -> list:
+    """A --n ladder: strictly ascending element counts."""
+    values = _number_list(text, int, "integer")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(
+            f"mesh sizes must be strictly ascending, got {values}")
+    return values
 
 
 def _float_list(text: str) -> list:
@@ -198,9 +203,6 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
     n_values = ns.n
     if len(n_values) < 3:
         raise InvalidSpec(f"need at least 3 mesh sizes, got {n_values}")
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise InvalidSpec(f"mesh sizes must be strictly ascending, "
-                          f"got {n_values}")
     # every mesh and solver spec the studies build is checked before the
     # first CSV is opened, so a refused value leaves no partial file
     for eps in ns.epsilon:
@@ -235,20 +237,16 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
                       f"({csv_path}): {exc}", file=sys.stderr)
                 raise
 
-        blocks = report.to_json(stem + ".json")
+        report.to_json(stem + ".json")
         print(f"epsilon={eps:g}: {len(report.records)} records "
               f"-> {csv_path}")
         for mode in report.modes():
-            # the JSON's fits; a series its blocks skipped is refitted here
-            # so that the fit's refusal ends the command
-            slope = {}
-            for metric in ("lambda_err_pct", "energy_err_pct"):
-                block = blocks.get(metric, {}).get(str(mode))
-                slope[metric] = block["slope"] if block else \
-                    report.order(mode, metric, vs="dof").slope
-            print(f"  mode {mode}: lambda error order "
-                  f"{slope['lambda_err_pct']:.2f}, energy error order "
-                  f"{slope['energy_err_pct']:.2f} (vs dof)")
+            # the JSON's fits; refitting a series it skipped raises the
+            # fit's refusal, which ends the command
+            lam, energy = (report.order(mode, metric, vs="dof").slope
+                           for metric in ("lambda_err_pct", "energy_err_pct"))
+            print(f"  mode {mode}: lambda error order {lam:.2f}, "
+                  f"energy error order {energy:.2f} (vs dof)")
     return 0
 
 
@@ -365,7 +363,7 @@ OPTIONS = {
 COMMON_FLAGS = ("out", "config")
 MESH_FLAGS = ("epsilon", "beta", "p", "n", "mesh")
 SOLVE_FLAGS = MESH_FLAGS + ("modes", "preset", "a_expr", "b_expr", "tol")
-N_LADDER = {"n": (_int_list, "16,32,64,128", "comma list of element counts")}
+N_LADDER = {"n": (_ladder, "16,32,64,128", "comma list of element counts")}
 
 # command -> (handler, help, flags besides COMMON_FLAGS, OPTIONS overrides)
 COMMANDS = {

@@ -78,16 +78,16 @@ def _basis_coeffs(p: int) -> np.ndarray:
 def hermite_basis(p: int, s, deriv: int = 0) -> np.ndarray:
     """Evaluate all p+1 reference shapes (or a derivative) at points s.
 
-    Returns an array of shape (p+1, len(s)).  Derivatives are taken on the
-    reference element; mapping to an element of width h divides by h^deriv
-    and scales the slope shapes by h, which is assembly's business.  Each
-    shape is one unit-width piece for piecewise_eval, so its 1/h is 1.
+    Returns a C-contiguous array of shape (p+1, len(s)), the layout the
+    GEMMs of ShapeTable read.  Derivatives are taken on the reference
+    element; mapping to an element of width h divides by h^deriv and
+    scales the slope shapes by h, which is assembly's business.  The
+    shapes are the p+1 modes of one piecewise_eval piece on [0, 1], so t
+    is s, 1/h is 1 and the (point, mode) result transposes to (shape,
+    point) without a copy.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = piecewise_eval(np.arange(p + 2.0), _basis_coeffs(p),
-                         np.tile(s, p + 1), deriv,
-                         piece=np.repeat(np.arange(p + 1), len(s)))
-    return out.reshape(p + 1, len(s))
+    return piecewise_eval(np.array([0.0, 1.0]), _basis_coeffs(p).T[None],
+                          s, deriv).T
 
 
 @dataclass(frozen=True)
@@ -170,17 +170,19 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
     [0, 1]; points outside use the end pieces.  With piece given, x holds
     local coordinates on those pieces and nothing is located, so t keeps
     full precision on pieces narrower than the spacing of doubles near them.
-    Each order is one Horner pass over table rows gathered per point, the
-    derivative's falling factorials applied to the table and 1/h
-    multiplied in d times.  An int deriv gives a 1-D array; a tuple gives
-    one Fortran-order column per order, each equal bit for bit to the
+    Each order is one Horner pass over table rows gathered per point, each
+    gathered row scaled by the derivative's falling factorial and the sum
+    multiplied by 1/h d times.  An int deriv gives a 1-D array; a tuple gives
+    shape (len(x), len(deriv)), each column equal bit for bit to the
     single-order call.  Orders above the degree give zeros.
 
     coeffs of shape (pieces, coefficients, modes) hold several functions
-    on the same breaks, and the result gains a trailing mode axis.  The
-    modes are stacked along the piece axis, so each Horner step stays one
-    contiguous pass and every mode equals its own single-mode call bit
-    for bit.
+    on the same breaks, and the result gains a trailing mode axis, each
+    mode equal bit for bit to its own single-mode call.  Every Horner step
+    gathers all modes at once from a (coefficient, mode, piece) view of
+    coeffs into one (mode, point) row, with t and 1/h broadcast over the
+    modes.  Each (order, mode) column of the (point, order, mode) result
+    is contiguous.
     """
     orders = (deriv,) if np.ndim(deriv) == 0 else tuple(deriv)
     if any(d < 0 for d in orders):
@@ -196,34 +198,26 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
         g = np.asarray(piece)
         inv_h = np.take(1.0 / np.diff(breaks), g)
         t = x
-    modes = coeffs.shape[2:]
-    if modes:                    # mode m's pieces follow those of mode m-1
-        coeffs = np.moveaxis(coeffs, 2, 0).reshape(-1, n_coef)
-        g = (g + n_pieces * np.arange(modes[0])[:, None]).ravel()
-        inv_h = np.tile(inv_h, modes[0])
-        t = np.tile(t, modes[0])
-
-    table = coeffs.T
-    out = np.empty((len(t), len(orders)), order="F")
-    row = np.empty(len(t))
-    for j, d in enumerate(orders):
-        col = out[:, j]
+    table = coeffs.reshape(n_pieces, n_coef, -1).transpose(1, 2, 0)
+    out = np.empty((len(orders), table.shape[1], len(t)))
+    row = np.empty(out.shape[1:])
+    for block, d in zip(out, orders):
         if d >= n_coef:
-            col[:] = 0.0
+            block[:] = 0.0
             continue
-        scaled = table[d:]
-        for i in range(d):       # k (k-1) ... (k-d+1) on the t^k row
-            scaled = scaled * np.arange(d - i, n_coef - i)[:, None]
-        np.take(scaled[-1], g, out=col, mode="clip")
-        for c in scaled[-2::-1]:
-            col *= t
-            np.take(c, g, out=row, mode="clip")
-            col += row
+        for k in range(n_coef - 1, d - 1, -1):
+            gathered = block if k == n_coef - 1 else row
+            np.take(table[k], g, axis=1, out=gathered, mode="clip")
+            for i in range(d):   # k (k-1) ... (k-d+1) on the t^k row
+                gathered *= k - i
+            if gathered is row:
+                block *= t
+                block += row
         for _ in range(d):
-            col *= inv_h
-    # a view: (point, order, mode) with every (order, mode) column contiguous
-    out = out.reshape((len(x),) + modes + (len(orders),), order="F")
-    out = np.moveaxis(out, -1, 1)
+            block *= inv_h
+    out = out.transpose(2, 0, 1)             # a view: (point, order, mode)
+    if coeffs.ndim == 2:
+        out = out[:, :, 0]
     return out[:, 0] if np.ndim(deriv) == 0 else out
 
 

@@ -63,8 +63,9 @@ class MeshSpec:
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
             raise InvalidSpec(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not self.beta > 0.0:
-            raise InvalidSpec(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise InvalidSpec(
+                f"beta must be positive and finite, got {self.beta}")
         if int(self.p) != self.p or self.p < 3:
             raise InvalidSpec(f"element degree must be an integer >= 3, got {self.p}")
         if int(self.n_elements) != self.n_elements or self.n_elements < 1:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -512,3 +513,37 @@ class TestFEFunctionModes:
         with pytest.raises(DimensionMismatch):
             FEFunction(mesh=mesh, p=3, node_values=np.zeros((5, 2)),
                        node_slopes=np.zeros(5))
+
+
+class TestFEFunctionModeMemory:
+    """Evaluating several modes at once: each added mode allocates at most
+    its share of the result and of the Horner row, plus two coefficient
+    tables' worth, the (mode, element, coefficient) table itself and room
+    for numpy's transient buffers.  A per-mode copy of the points, t, 1/h
+    or the piece index exceeds that."""
+
+    def test_added_modes_cost_their_share(self):
+        # the mode files of `solve --p 5 --n 512 --modes 5`
+        p, n, n_modes = 5, 512, 5
+        mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=p,
+                                   n_elements=n, kind="exp"))
+        dofmap = build_dof_map(n, p)
+        x = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001),
+                                      mesh.nodes]))
+        vecs = np.random.default_rng(70).standard_normal(
+            (dofmap.n_free, n_modes))
+
+        def peak(vec):
+            u = FEFunction.from_dof_vector(mesh, dofmap, vec)
+            u(x, (0, 1))                  # first-call allocations aside
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                u(x, (0, 1))
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        result, row, table = 2 * len(x) * 8, len(x) * 8, n * (p + 1) * 8
+        added = peak(vecs) - peak(vecs[:, :1])
+        assert added <= (n_modes - 1) * (result + row + 2 * table)

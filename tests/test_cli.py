@@ -201,6 +201,30 @@ class TestExitCodes:
         assert "empty" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("convergence", "--n", "32,16"),
+        ("convergence", "--n", "16,16,32"),
+        ("interp-study", "--n", "32,16"),
+        ("interp-study", "--n", "16,16,32"),
+    ], ids=" ".join)
+    def test_ladder_must_ascend(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc, stdout, err = run(capsys, *argv, "--epsilon", "1e-2",
+                              "--out", str(out))
+        assert rc == 2 and stdout == ""
+        assert err.startswith("error: InvalidSpec: argument --n: mesh sizes "
+                              "must be strictly ascending")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_infinite_beta(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "solve", "--n", "8", "--beta", "inf",
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err == ("error: InvalidSpec: beta must be positive and "
+                       "finite, got inf\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance(self, tmp_path, capsys, tol):
         rc, _, err = run(capsys, "solve", "--p", "3", "--n", "8",

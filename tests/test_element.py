@@ -83,6 +83,15 @@ class TestHermiteBasis:
         exact = hermite_basis(p, s, deriv)
         assert np.allclose(fd, exact, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("p", [3, 6])
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_c_contiguous_shape_by_point(self, p, deriv):
+        # ShapeTable.k2 and m0 are GEMMs on this array; another layout
+        # could change their rounding
+        s = gauss_rule(2 * p).points
+        out = hermite_basis(p, s, deriv)
+        assert out.shape == (p + 1, len(s)) and out.flags.c_contiguous
+
     def test_degree_below_three_rejected(self):
         with pytest.raises(DegreeTooLow):
             hermite_basis(2, np.array([0.5]))

@@ -25,6 +25,11 @@ class TestMeshSpec:
         with pytest.raises(InvalidSpec):
             MeshSpec(epsilon=1e-3, beta=0.0, p=3, n_elements=16, kind="exp")
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(InvalidSpec, match="beta"):
+            MeshSpec(epsilon=1e-3, beta=beta, p=3, n_elements=16, kind="exp")
+
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_degree_too_low(self, p):
         with pytest.raises(InvalidSpec):
