@@ -26,7 +26,7 @@ from .errors import (AmbiguousSign, AssumptionViolated, BadGrouping,
                      NoConvergence, NonpositiveError, NotPositiveDefinite,
                      RegionOverlap, TooFewPoints, WrongMeshKind, ZeroVector)
 from .mesh import (BoundsReport, Mesh, MeshKind, MeshSpec, Region, build_mesh,
-                   check_mesh_bounds, mesh_to_csv)
+                   check_mesh_bounds)
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,6 @@ __all__ = [
     "convergence_study", "default_reference_n", "discrete_max_error",
     "element_matrices", "energy_norm_error", "eval_layer_function",
     "fit_slope", "gauss_rule", "hermite_basis", "hermite_interpolant",
-    "interp_rate_study", "mesh_to_csv", "residual_norms", "sample_points",
+    "interp_rate_study", "residual_norms", "sample_points",
     "shape_table", "solve_smallest",
 ]

@@ -15,7 +15,6 @@ exact to degree 2p+1, integrates it without error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -209,11 +208,17 @@ class InterpReport:
         return fit_slope(*self.series(metric))
 
 
+INTERP_SAMPLES = 200
+INTERP_GAUSS = 12
+
+
 def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
-                      n_values: Sequence[int], per_element: int = 200,
-                      n_gauss: int = 12) -> InterpReport:
+                      n_values: Sequence[int]) -> InterpReport:
     """Interpolate the left layer function exp(-beta x / epsilon) with the
-    C1 space on each mesh in the ladder and record the three error metrics.
+    C1 space on each mesh in the ladder and record the three error metrics:
+    the sup errors of the value and slope over INTERP_SAMPLES equally
+    spaced points per element, ends included, and sqrt(epsilon) times the
+    H2 seminorm error, with an INTERP_GAUSS-point Gauss rule per element.
 
     The study targets the layer regime; it refuses to run when epsilon is
     so large relative to a mesh that the layer is resolved trivially.
@@ -226,8 +231,8 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
                 "(need epsilon < 1/N)"
             )
     group = (p - 1) // 2
-    grule = gauss_rule(n_gauss)
-    xi = np.linspace(0.0, 1.0, per_element)
+    grule = gauss_rule(INTERP_GAUSS)
+    xi = np.linspace(0.0, 1.0, INTERP_SAMPLES)
 
     records = []
     for n in n_values:
@@ -306,13 +311,6 @@ class StudyRecord:
     maxnorm_du_pct: float
 
 
-CSV_COLUMNS = ("mesh_kind", "epsilon", "p", "N", "dof", "mode", "lambda_h",
-               "lambda_err_pct", "energy_err_pct", "maxnorm_u_pct",
-               "maxnorm_du_pct")
-CSV_KINDS = (str, float, int, int, int, int, float, float, float, float,
-             float)
-
-
 ERROR_METRICS = ("lambda_err_pct", "energy_err_pct",
                  "maxnorm_u_pct", "maxnorm_du_pct")
 
@@ -335,36 +333,26 @@ class StudyReport:
     def order(self, mode: int, metric: str, vs: str = "N") -> SlopeFit:
         return fit_slope(*self.series(mode, metric, vs))
 
-    def slope_blocks(self, vs: str = "dof") -> dict:
-        """Fitted orders per metric and mode, skipping series the fit
-        rejects (too short, or errors at rounding level)."""
+    def slope_blocks(self) -> dict:
+        """Fitted orders against dof per metric and mode, skipping series
+        the fit rejects (too short, or errors at rounding level)."""
         out = {}
         for metric in ERROR_METRICS:
             per_mode = {}
             for mode in self.modes():
                 try:
-                    fit = self.order(mode, metric, vs)
+                    fit = self.order(mode, metric, "dof")
                 except (TooFewPoints, NonpositiveError):
                     continue
                 per_mode[str(mode)] = {
                     "slope": fit.slope,
                     "intercept": fit.intercept,
                     "max_log_residual": fit.max_log_residual,
-                    "vs": vs,
+                    "vs": "dof",
                 }
             if per_mode:
                 out[metric] = per_mode
         return out
-
-    def to_json(self, path) -> None:
-        """Write the records and their slope blocks."""
-        payload = {
-            "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
-                        for r in self.records],
-            "slopes": self.slope_blocks(),
-        }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def convergence_study(kind, epsilon: float, beta: float, p: int,

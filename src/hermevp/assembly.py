@@ -30,28 +30,23 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Problem coefficients.  a_floor is a certified positive lower bound for
-    a(x) on [0, 1], used for validation and for the default layer strength
-    beta = sqrt(a_floor).
-
-    allow_degenerate skips the positivity checks so tests can assemble
-    isolated terms (a = 0, b = 0, or eps = 0); never set it for real runs.
+    """Problem coefficients.  a_floor is a positive lower bound for a(x) on
+    [0, 1] that assemble checks every quadrature sample of a against.  It
+    is measured, not proved: the CLI takes the minimum of a over 4097
+    equally spaced points, less 1e-9 relative.  The mesh's layer strength
+    beta is a separate input (--beta, default 1.0), not derived from it.
     """
 
     a: Callable
     b: Callable
     epsilon: float
     a_floor: float
-    allow_degenerate: bool = False
 
     def __post_init__(self):
-        if not self.allow_degenerate:
-            if self.epsilon <= 0.0:
-                raise InvalidSpec(f"epsilon must be positive, got {self.epsilon}")
-            if self.a_floor <= 0.0:
-                raise InvalidSpec(f"a_floor must be positive, got {self.a_floor}")
-        elif self.epsilon < 0.0:
-            raise InvalidSpec(f"epsilon must be non-negative, got {self.epsilon}")
+        if self.epsilon <= 0.0:
+            raise InvalidSpec(f"epsilon must be positive, got {self.epsilon}")
+        if self.a_floor <= 0.0:
+            raise InvalidSpec(f"a_floor must be positive, got {self.a_floor}")
 
 
 class SymBandMatrix:
@@ -167,19 +162,15 @@ def build_dof_map(n_elements: int, p: int) -> DofMap:
 
 def element_matrices(h, shapes: ShapeTable, epsilon: float,
                      a_vals: np.ndarray, b_vals: np.ndarray):
-    """Local stiffness and mass matrices of elements of width h, with
-    coefficient samples a_vals, b_vals at the mapped quadrature points.
-
-    Widths of shape (n_el,) with samples (n_el, nq) give (n_el, p+1, p+1)
-    stacks; a scalar width with samples (nq,) gives one (p+1, p+1) pair.
+    """Local stiffness and mass matrices of elements of widths h, shape
+    (n_el,), with coefficient samples a_vals, b_vals of shape (n_el, nq)
+    at the mapped quadrature points: two (n_el, p+1, p+1) stacks.  One
+    element is a batch of one.
     """
-    single = np.ndim(h) == 0
-    h = np.atleast_1d(np.asarray(h, dtype=float))[:, None, None]
+    h = np.asarray(h, dtype=float)[:, None, None]
     w = shapes.rule.weights
-    k1 = np.einsum("eq,iq,kq->eik", np.atleast_2d(a_vals) * w,
-                   shapes.d1, shapes.d1)
-    k0 = np.einsum("eq,iq,kq->eik", np.atleast_2d(b_vals) * w,
-                   shapes.values, shapes.values)
+    k1 = np.einsum("eq,iq,kq->eik", a_vals * w, shapes.d1, shapes.d1)
+    k0 = np.einsum("eq,iq,kq->eik", b_vals * w, shapes.values, shapes.values)
 
     k_loc = (epsilon**2 / h**3) * shapes.k2 + (1.0 / h) * k1 + h * k0
     m_loc = h * shapes.m0
@@ -187,8 +178,6 @@ def element_matrices(h, shapes: ShapeTable, epsilon: float,
     scale[:, 1] = scale[:, 3] = h[:, 0, 0]
     k_loc *= scale[:, :, None] * scale[:, None, :]
     m_loc *= scale[:, :, None] * scale[:, None, :]
-    if single:
-        return k_loc[0], m_loc[0]
     return k_loc, m_loc
 
 
@@ -197,7 +186,7 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
 
     Coefficients are sampled at the mapped quadrature points of every
     element; a(x) must stay at or above a_floor and b(x) must be
-    non-negative at each sample unless allow_degenerate is set.
+    non-negative at each sample.
     """
     if shapes.p != mesh.spec.p:
         raise InvalidSpec(
@@ -214,15 +203,14 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
                 f"{name}(x) = {float(vals[bad][0])} is not finite at "
                 f"x = {float(x[bad][0])}"
             )
-    if not coeffs.allow_degenerate:
-        tol = 1e-12 * max(1.0, abs(coeffs.a_floor))
-        if np.any(a_at < coeffs.a_floor - tol):
-            worst = float(a_at.min())
-            raise CoefficientViolation(
-                f"a(x) dips to {worst} below the certified floor {coeffs.a_floor}"
-            )
-        if np.any(b_at < 0.0):
-            raise CoefficientViolation(f"b(x) reaches {float(b_at.min())} < 0")
+    tol = 1e-12 * max(1.0, coeffs.a_floor)
+    if np.any(a_at < coeffs.a_floor - tol):
+        worst = float(a_at.min())
+        raise CoefficientViolation(
+            f"a(x) dips to {worst} below a_floor = {coeffs.a_floor}"
+        )
+    if np.any(b_at < 0.0):
+        raise CoefficientViolation(f"b(x) reaches {float(b_at.min())} < 0")
 
     k_el, m_el = element_matrices(widths, shapes, coeffs.epsilon, a_at, b_at)
     dofmap = build_dof_map(mesh.n_elements, shapes.p)

@@ -15,28 +15,27 @@ Subcommands:
 Each option is declared once, in OPTIONS, with its type, default and help.
 Values come from flags or from a flat key=value config file (--config);
 flags win, and a file value is parsed exactly like its flag.  Every
-computed number is produced by a library call; this module only parses
-options and formats output.
+computed number is produced by a library call; this module parses options
+and lays out every file and line a command writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 
 import numpy as np
 
-from .analysis import (CSV_COLUMNS, CSV_KINDS, StudyRecord,
-                       convergence_study, interp_rate_study)
+from .analysis import StudyRecord, convergence_study, interp_rate_study
 from .assembly import CoefficientSet, FEFunction, assemble
 from .csvout import CsvWriter, float_fields, write_columns, write_csv
 from .eigensolver import SolverConfig, solve_smallest
 from .element import shape_table
 from .errors import CoefficientViolation, HermevpError, InvalidSpec
-from .mesh import (MeshKind, MeshSpec, build_mesh, check_mesh_bounds,
-                   mesh_to_csv)
+from .mesh import MeshKind, MeshSpec, build_mesh, check_mesh_bounds
 
 _SAFE_NAMES = {
     "exp": np.exp, "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -62,6 +61,13 @@ BENCHMARK_EIGENVALUES = {
     5: (None, 423.2341, 410.7243, 402.9403, 401.7117, 400.1930, 399.6647),
 }
 TABLE_N_LADDER = (8, 12, 16, 20, 24, 28, 32)
+
+# the study CSV's columns, StudyRecord fields, also keyed in the JSON records
+CSV_COLUMNS = ("mesh_kind", "epsilon", "p", "N", "dof", "mode", "lambda_h",
+               "lambda_err_pct", "energy_err_pct", "maxnorm_u_pct",
+               "maxnorm_du_pct")
+CSV_KINDS = (str, float, int, int, int, int, float, float, float, float,
+             float)
 
 
 def make_expr_function(expr: str):
@@ -237,7 +243,13 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
                       f"({csv_path}): {exc}", file=sys.stderr)
                 raise
 
-        report.to_json(stem + ".json")
+        payload = {
+            "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
+                        for r in report.records],
+            "slopes": report.slope_blocks(),
+        }
+        with open(stem + ".json", "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
         print(f"epsilon={eps:g}: {len(report.records)} records "
               f"-> {csv_path}")
         for mode in report.modes():
@@ -330,7 +342,10 @@ def cmd_mesh_dump(ns: argparse.Namespace) -> int:
     mesh = build_mesh(MeshSpec(epsilon=ns.epsilon, beta=ns.beta, p=ns.p,
                                n_elements=ns.n, kind=kind))
     path = os.path.join(ns.out, "mesh.csv")
-    mesh_to_csv(mesh, path)
+    # one row per node; the last node has no element to its right
+    regions = [r.value for r in mesh.regions] + ["-"]
+    write_csv(path, ("index", "x", "region_right"), (int, float, str),
+              zip(range(len(mesh.nodes)), mesh.nodes.tolist(), regions))
     print(f"{kind.value} mesh, N={ns.n}, epsilon={ns.epsilon:g} -> {path}")
     if kind is not MeshKind.UNIFORM:
         print(f"  transition abscissa {mesh.transition_left():.6g}")
@@ -352,7 +367,7 @@ OPTIONS = {
     "n": (int, 64, "element count"),
     "mesh": (MeshKind, "exp", "mesh kind: exp, shishkin or uniform"),
     "modes": (int, 1, "number of eigenpairs"),
-    "preset": (str, "expx", "expx: a=e^x, b=x; const: a=1, b=0"),
+    "preset": (str, "expx", "expx: a=e^x, b=x; const: a=1, b=0; or custom"),
     "a_expr": (str, None, "a(x) expression for --preset custom"),
     "b_expr": (str, None, "b(x) expression for --preset custom"),
     "tol": (float, 1e-11, "solver residual tolerance"),
@@ -428,9 +443,7 @@ def build_parser(command=None):
         for dest in flags + COMMON_FLAGS:
             type_, default, help_ = overrides.get(dest, OPTIONS[dest])
             sp.add_argument("--" + dest.replace("_", "-"), type=type_,
-                            default=default, help=help_,
-                            choices=[*PRESETS, "custom"]
-                            if dest == "preset" else None)
+                            default=default, help=help_)
     return parser, invoked
 
 

@@ -27,7 +27,6 @@ from enum import Enum
 
 import numpy as np
 
-from .csvout import write_csv
 from .errors import InvalidSpec, RegionOverlap, WrongMeshKind
 
 
@@ -128,6 +127,22 @@ def _scale_text(spec: MeshSpec) -> str:
             f"(epsilon = {spec.epsilon:g}, beta = {spec.beta:g})")
 
 
+def _epsilon_floor(spec: MeshSpec) -> float:
+    """The smallest epsilon, rounded up to three digits, that keeps the
+    right-layer nodes 1 - x_j apart.  Doubles in [1/2, 1) are
+    np.spacing(1.0)/2 apart and the layer's gaps grow inward from x_1, so
+    an x_1 of one spacing keeps every node and one of half a spacing rounds
+    1 - x_1 to 1: the true floor lies within 2x below.  That thin, x_1 is
+    linear in epsilon: layer_scale * -ln(1 - 4/N) on an exp mesh (C = 1),
+    layer_scale * 4 ln(N)/N on a Shishkin mesh."""
+    N = spec.n_elements
+    x1 = (4.0 * math.log(N) / N if spec.kind is MeshKind.SHISHKIN
+          else -math.log1p(-4.0 / N))
+    floor = np.spacing(1.0) / 2.0 * spec.beta / ((spec.p + 1) * x1)
+    unit = 10.0 ** (math.floor(math.log10(floor)) - 2)
+    return math.ceil(floor / unit) * unit
+
+
 def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
     """The mesh with left-layer nodes layer (x_0 = 0 .. x_L), the interior
     nodes middle strictly between x_L and 1 - x_L, and the right layer
@@ -148,7 +163,8 @@ def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
             f"mesh nodes are not strictly increasing: {_scale_text(spec)} is "
             f"too small for N = {spec.n_elements}, the right-layer nodes "
             f"1 - x_j collapse because doubles near 1 are np.spacing(1.0) "
-            f"= {np.spacing(1.0):.2g} apart"
+            f"= {np.spacing(1.0):.2g} apart; at this p and beta, N = "
+            f"{spec.n_elements} needs epsilon >= {_epsilon_floor(spec):.3g}"
         )
     return Mesh(spec=spec, nodes=nodes, widths=widths, n_layer=len(layer) - 1)
 
@@ -226,10 +242,3 @@ def check_mesh_bounds(mesh: Mesh) -> BoundsReport:
         transition_decay=decay,
         decay_bound=float(N) ** (-(spec.p + 1)),
     )
-
-
-def mesh_to_csv(mesh: Mesh, path) -> None:
-    """One row per node: (index, x, region of the element to its right)."""
-    regions = [r.value for r in mesh.regions] + ["-"]
-    write_csv(path, ("index", "x", "region_right"), (int, float, str),
-              zip(range(len(mesh.nodes)), mesh.nodes.tolist(), regions))

@@ -258,9 +258,10 @@ class TestCriterion7OracleEquivalence:
         p, h, eps = 3, 0.5, 0.7
         shapes = shape_table(p)
         nq = shapes.rule.n_points
-        k_loc, m_loc = element_matrices(h, shapes, epsilon=eps,
-                                        a_vals=np.ones(nq),
-                                        b_vals=np.ones(nq))
+        k_el, m_el = element_matrices(np.array([h]), shapes, epsilon=eps,
+                                      a_vals=np.ones((1, nq)),
+                                      b_vals=np.ones((1, nq)))
+        k_loc, m_loc = k_el[0], m_el[0]
         d = np.array([1.0, h, 1.0, h])
         scale = np.outer(d, d)
         k_exact = (eps**2 / h**3 * symbolic_element_matrices(p, 2)

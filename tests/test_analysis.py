@@ -4,14 +4,17 @@ import json
 import numpy as np
 import pytest
 
+import hermevp.analysis
 from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
                      DimensionMismatch, FEFunction, InvalidSpec, MeshSpec,
-                     NonpositiveError, TooFewPoints, ZeroVector, align_sign,
+                     NoConvergence, NonpositiveError, StudyRecord,
+                     StudyReport, TooFewPoints, ZeroVector, align_sign,
                      build_mesh, compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
                      energy_norm_error, fit_slope, gauss_rule,
                      interp_rate_study, sample_points)
-from hermevp.analysis import CSV_COLUMNS, CSV_KINDS, ERROR_METRICS
+from hermevp.analysis import ERROR_METRICS
+from hermevp.cli import CSV_COLUMNS, CSV_KINDS, main
 from hermevp.csvout import write_csv
 
 
@@ -277,8 +280,7 @@ class TestInterpRateStudy:
         # Fitted orders for the layer exponential at eps=1e-6 on the
         # graded mesh, pinned against an independent scalar-arithmetic
         # implementation of the same three metrics.
-        rep = interp_rate_study("exp", 1e-6, 1.0, 3, (16, 32, 64, 128),
-                                per_element=200)
+        rep = interp_rate_study("exp", 1e-6, 1.0, 3, (16, 32, 64, 128))
         assert rep.order("max_err").slope == pytest.approx(4.909, abs=0.02)
         assert rep.order("max_err_d1").slope == pytest.approx(2.960, abs=0.02)
         assert rep.order("scaled_h2_err").slope == pytest.approx(1.995,
@@ -355,13 +357,79 @@ class TestConvergenceStudy:
             assert float(row["lambda_h"]) == rec.lambda_h
             assert int(row["N"]) == rec.N
 
-    def test_json_payload(self, study, tmp_path):
-        path = tmp_path / "study.json"
-        study.to_json(path)
-        payload = json.loads(path.read_text())
+    def test_json_payload(self, tmp_path):
+        assert main(["convergence", "--epsilon", "1e-2", "--n", "8,12,16",
+                     "--modes", "2", "--ref-n", "64",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "study_eps0.01.json").read_text())
         assert set(payload) == {"records", "slopes"}
         assert len(payload["records"]) == 6
         assert payload["records"][0]["mode"] == 1
+        assert tuple(payload["records"][0]) == CSV_COLUMNS
+        with open(tmp_path / "study_eps0.01.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["lambda_h"]) for r in rows] == \
+            [r["lambda_h"] for r in payload["records"]]
+        assert {b["vs"] for blocks in payload["slopes"].values()
+                for b in blocks.values()} == {"dof"}
+
+    def test_slope_blocks_skip_a_zero_error(self):
+        # mode 2's eigenvalue error reads 0 on one rung, so the fit refuses
+        # that series and the blocks leave it out
+        records = [StudyRecord("exp", 1e-2, 3, n, dof, mode, 10.0,
+                               0.0 if (n, mode) == (16, 2) else 1.0 / dof,
+                               1.0 / dof, 1.0 / dof, 1.0 / dof)
+                   for n, dof in ((8, 14), (16, 30), (32, 62))
+                   for mode in (1, 2)]
+        blocks = StudyReport(records=tuple(records)).slope_blocks()
+        assert set(blocks) == set(ERROR_METRICS)
+        assert set(blocks["lambda_err_pct"]) == {"1"}
+        assert set(blocks["energy_err_pct"]) == {"1", "2"}
+        assert blocks["lambda_err_pct"]["1"]["slope"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("ladder,ref_n", [("8,12,16", 512),
+                                              ("16,32,72", 576)])
+    def test_default_reference_size_in_cli(self, tmp_path, monkeypatch,
+                                           ladder, ref_n):
+        sizes = []
+        compute = hermevp.analysis.compute_reference
+
+        def spy(kind, epsilon, beta, p, n_ref, *args, **kwargs):
+            sizes.append(n_ref)
+            return compute(kind, epsilon, beta, p, n_ref, *args, **kwargs)
+
+        monkeypatch.setattr(hermevp.analysis, "compute_reference", spy)
+        assert main(["convergence", "--epsilon", "1e-2", "--n", ladder,
+                     "--out", str(tmp_path)]) == 0
+        assert sizes == [ref_n]
+
+    def test_failed_rung_keeps_earlier_rows(self, tmp_path, capsys,
+                                            monkeypatch):
+        calls = []
+        solve = hermevp.analysis.solve_smallest
+
+        def fail_third(*args, **kwargs):
+            # the reference is the first solve, so rung 2 is the third
+            calls.append(None)
+            if len(calls) == 3:
+                raise NoConvergence("stub solver gave up on rung 2")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hermevp.analysis, "solve_smallest", fail_third)
+        rc = main(["convergence", "--epsilon", "1e-2", "--n", "8,12,16",
+                   "--ref-n", "48", "--out", str(tmp_path)])
+        _, err = capsys.readouterr()
+        assert rc == NoConvergence.exit_code
+        lines = (tmp_path / "study_eps0.01.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].split(",")[3] == "8"
+        assert lines[2] == "# FAILED: stub solver gave up on rung 2"
+        assert not (tmp_path / "study_eps0.01.json").exists()
+        assert err.splitlines() == [
+            f"epsilon=0.01: failed after partial results "
+            f"({tmp_path / 'study_eps0.01.csv'}): stub solver gave up on "
+            f"rung 2",
+            "error: NoConvergence: stub solver gave up on rung 2"]
 
     def test_on_record_streams_every_row(self):
         seen = []

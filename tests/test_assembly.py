@@ -37,6 +37,15 @@ def symbolic_element_matrices(p, deriv):
     return mat
 
 
+def one_element(h, shapes, epsilon, a, b):
+    """element_matrices of one element of width h with constant a and b,
+    as a batch of one."""
+    row = np.ones((1, shapes.rule.n_points))
+    k_el, m_el = element_matrices(np.array([h]), shapes, epsilon, a * row,
+                                  b * row)
+    return k_el[0], m_el[0]
+
+
 class TestElementMatricesAgainstExactIntegrals:
     """Each bilinear-form term in isolation versus exact symbolic
     integration of the reference basis, including the width scaling of
@@ -46,9 +55,7 @@ class TestElementMatricesAgainstExactIntegrals:
     @pytest.mark.parametrize("h", [1.0, 0.5])
     def test_second_derivative_term(self, p, h):
         shapes = shape_table(p)
-        k_loc, _ = element_matrices(h, shapes, epsilon=1.0,
-                                    a_vals=np.zeros(shapes.rule.n_points),
-                                    b_vals=np.zeros(shapes.rule.n_points))
+        k_loc, _ = one_element(h, shapes, epsilon=1.0, a=0.0, b=0.0)
         d = np.ones(p + 1)
         d[1] = d[3] = h
         expect = symbolic_element_matrices(p, 2) / h**3 * np.outer(d, d)
@@ -58,9 +65,7 @@ class TestElementMatricesAgainstExactIntegrals:
     @pytest.mark.parametrize("h", [1.0, 0.5])
     def test_first_derivative_term(self, p, h):
         shapes = shape_table(p)
-        k_loc, _ = element_matrices(h, shapes, epsilon=0.0,
-                                    a_vals=np.ones(shapes.rule.n_points),
-                                    b_vals=np.zeros(shapes.rule.n_points))
+        k_loc, _ = one_element(h, shapes, epsilon=0.0, a=1.0, b=0.0)
         d = np.ones(p + 1)
         d[1] = d[3] = h
         expect = symbolic_element_matrices(p, 1) / h * np.outer(d, d)
@@ -70,9 +75,7 @@ class TestElementMatricesAgainstExactIntegrals:
     @pytest.mark.parametrize("h", [1.0, 0.5])
     def test_mass_term(self, p, h):
         shapes = shape_table(p)
-        k_loc, m_loc = element_matrices(h, shapes, epsilon=0.0,
-                                        a_vals=np.zeros(shapes.rule.n_points),
-                                        b_vals=np.ones(shapes.rule.n_points))
+        k_loc, m_loc = one_element(h, shapes, epsilon=0.0, a=0.0, b=1.0)
         d = np.ones(p + 1)
         d[1] = d[3] = h
         expect = symbolic_element_matrices(p, 0) * h * np.outer(d, d)
@@ -90,10 +93,11 @@ class TestBatchedElementMatrices:
         b = rng.uniform(0.0, 2.0, size=(7, shapes.rule.n_points))
         k_el, m_el = element_matrices(h, shapes, 1e-3, a, b)
         assert k_el.shape == m_el.shape == (7, p + 1, p + 1)
-        pairs = [element_matrices(h[e], shapes, 1e-3, a[e], b[e])
-                 for e in range(7)]
-        assert np.array_equal(k_el, np.stack([k for k, _ in pairs]))
-        assert np.array_equal(m_el, np.stack([m for _, m in pairs]))
+        # each element alone, as a batch of one
+        pairs = [element_matrices(h[e:e + 1], shapes, 1e-3, a[e:e + 1],
+                                  b[e:e + 1]) for e in range(7)]
+        assert np.array_equal(k_el, np.concatenate([k for k, _ in pairs]))
+        assert np.array_equal(m_el, np.concatenate([m for _, m in pairs]))
 
 
 class TestDofMap:
@@ -269,21 +273,11 @@ class TestAssemble:
         with pytest.raises(CoefficientViolation):
             assemble(mesh, shape_table(3), coeffs)
 
-    def test_degenerate_flag_skips_checks(self):
-        mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
-                                   n_elements=4, kind="uniform"))
-        coeffs = CoefficientSet(a=lambda x: 0.0 * x, b=lambda x: 0.0 * x,
-                                epsilon=1.0, a_floor=0.0,
-                                allow_degenerate=True)
-        K, _, _ = assemble(mesh, shape_table(3), coeffs)
-        np.linalg.cholesky(K.to_dense())
-
     def test_scalar_coefficient_broadcast(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
         lits = CoefficientSet(a=lambda x: 1.0, b=lambda x: 0.0,
-                              epsilon=0.3, a_floor=1.0,
-                              allow_degenerate=True)
+                              epsilon=0.3, a_floor=1.0)
         fns = CoefficientSet(a=lambda x: np.ones_like(x),
                              b=lambda x: np.zeros_like(x),
                              epsilon=0.3, a_floor=1.0)

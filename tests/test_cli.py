@@ -274,6 +274,31 @@ class TestExitCodes:
         assert err == f"error: InvalidSpec: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["convergence", "interp-study"])
+    def test_malformed_ladder(self, tmp_path, capsys, command):
+        rc, out, err = run(capsys, command, "--n", "16,x",
+                           "--out", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err == ("error: InvalidSpec: argument --n: bad integer list "
+                       "'16,x'\n")
+
+    def test_no_free_dofs(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "solve", "--mesh", "uniform", "--n", "1",
+                         "--p", "3", "--out", str(tmp_path))
+        assert rc == 2
+        assert err == ("error: InvalidSpec: no free dofs: mesh too small for "
+                       "clamped ends\n")
+
+    def test_unknown_preset_one_message(self, tmp_path, capsys):
+        # a flag and a config file value meet the same check
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = bogus\n")
+        expect = ("error: InvalidSpec: unknown preset 'bogus'; choose from "
+                  "const, expx, custom\n")
+        for argv in (("--preset", "bogus"), ("--config", str(cfg))):
+            rc, _, err = run(capsys, "solve", *argv, "--out", str(tmp_path))
+            assert (rc, err) == (2, expect)
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_out_not_a_directory(self, tmp_path, capsys, sub):
         blocker = tmp_path / "file"
@@ -322,6 +347,15 @@ class TestCoefficientExpressions:
                          "--b-expr", "0", "--out", str(tmp_path))
         assert rc == 2
         assert "not allowed" in err
+
+    def test_unparsable_expression(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "solve", "--preset", "custom",
+                         "--a-expr", "1+", "--b-expr", "x",
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error: InvalidSpec: cannot parse coefficient "
+                              "expression '1+': ")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_function_rejected(self, tmp_path, capsys):
         rc, _, err = run(capsys, "solve", "--preset", "custom",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hermevp import (InvalidSpec, MeshKind, MeshSpec, Region, RegionOverlap,
-                     WrongMeshKind, build_mesh, check_mesh_bounds,
-                     mesh_to_csv)
+                     WrongMeshKind, build_mesh, check_mesh_bounds)
+from hermevp.cli import main
 
 
 class TestMeshSpec:
@@ -260,6 +260,32 @@ class TestTinyEpsilon:
         assert "epsilon = 1e-16" in msg and "N = 64" in msg
         assert "right-layer nodes" in msg and "np.spacing(1.0)" in msg
 
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    @pytest.mark.parametrize("kind", ["exp", "shishkin"])
+    def test_refusal_names_the_smallest_epsilon(self, kind, n):
+        def builds(eps):
+            try:
+                build_mesh(MeshSpec(epsilon=eps, beta=1.0, p=3,
+                                    n_elements=n, kind=kind))
+            except InvalidSpec:
+                return False
+            return True
+
+        with pytest.raises(InvalidSpec) as info:
+            build_mesh(MeshSpec(epsilon=1e-20, beta=1.0, p=3, n_elements=n,
+                                kind=kind))
+        msg = str(info.value)
+        assert "\n" not in msg
+        named = float(msg.rsplit("needs epsilon >= ", 1)[1])
+        assert builds(named)
+        # the true threshold by bisection on log(eps), between a refused
+        # epsilon and the named one
+        lo, hi = 1e-20, named
+        while hi / lo > 1.0 + 1e-6:
+            mid = (lo * hi) ** 0.5
+            lo, hi = (lo, mid) if builds(mid) else (mid, hi)
+        assert named / 2.0 <= hi <= named
+
     @pytest.mark.parametrize("kind", ["exp", "shishkin"])
     def test_coarse_mesh_still_builds(self, kind):
         mesh = build_mesh(MeshSpec(epsilon=1e-16, beta=1.0, p=3,
@@ -271,9 +297,9 @@ class TestMeshSerialization:
     def test_csv_roundtrip(self, tmp_path):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=3,
                                    n_elements=16, kind="exp"))
-        path = tmp_path / "mesh.csv"
-        mesh_to_csv(mesh, path)
-        with open(path, newline="") as fh:
+        assert main(["mesh-dump", "--epsilon", "1e-3", "--n", "16",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "mesh.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "x", "region_right"]
         assert len(rows) == len(mesh.nodes) + 1

@@ -1,8 +1,12 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import hermevp
+import hermevp.analysis
+import hermevp.mesh
 from hermevp import HermevpError
 
 
@@ -32,3 +36,17 @@ def test_import_does_not_load_sparse_linalg():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_only_the_cli_lays_out_files():
+    # the command-line module decides what each command writes; the mesh
+    # and analysis modules return data and import no output module
+    for module in (hermevp.mesh, hermevp.analysis):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert not imported & {"json", ".csvout", "hermevp.csvout"}, \
+            module.__name__
