@@ -15,7 +15,7 @@ exact to degree 2p+1, integrates it without error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -318,7 +318,6 @@ ERROR_METRICS = ("lambda_err_pct", "energy_err_pct",
 @dataclass(frozen=True)
 class StudyReport:
     records: tuple
-    reference: ReferenceSolution = field(repr=False, default=None)
 
     def modes(self):
         return sorted({r.mode for r in self.records})
@@ -412,4 +411,4 @@ def convergence_study(kind, epsilon: float, beta: float, p: int,
             records.append(record)
             if on_record is not None:
                 on_record(record)
-    return StudyReport(records=tuple(records), reference=reference)
+    return StudyReport(records=tuple(records))

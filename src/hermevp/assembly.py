@@ -61,37 +61,23 @@ class SymBandMatrix:
         self.band = np.zeros((bandwidth + 1, n), order="F")
 
     def band_index(self, idx: np.ndarray):
-        """Where scatter puts the entries of local matrices at idx: the mask
-        of the kept entries (free, upper triangle) and their flat positions
-        in band.  Matrices of one shape share it."""
-        idx = np.atleast_2d(idx)
+        """Where scatter puts the entries of local matrices at idx, of shape
+        (n_el, m): the mask of the kept entries (free, upper triangle) and
+        their flat positions in band.  Matrices of one shape share it."""
         ii, jj = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
         keep = (ii >= 0) & (ii <= jj)
         jj = jj[keep]
         return keep, self.bandwidth + ii[keep] - jj + (self.bandwidth + 1) * jj
 
-    def scatter(self, idx: np.ndarray, local: np.ndarray,
-                index=None) -> None:
-        """Add dense symmetric local matrices at global indices: idx of shape
-        (n_el, m) with local of shape (n_el, m, m), or one element's (m,) and
-        (m, m).  Negative indices mark eliminated dofs and are skipped;
-        contributions to one entry are summed in element order.  index is
-        band_index(idx), when the caller has it already."""
-        idx = np.atleast_2d(idx)
-        local = np.reshape(local, (len(idx),) + np.shape(local)[-2:])
-        keep, flat = self.band_index(idx) if index is None else index
+    def scatter(self, index, local: np.ndarray) -> None:
+        """Add dense symmetric local matrices, of shape (n_el, m, m), at
+        index = band_index(idx).  Negative indices mark eliminated dofs and
+        are skipped; contributions to one entry are summed in element
+        order."""
+        keep, flat = index
         self.band += np.bincount(flat, weights=local[keep],
                                  minlength=self.band.size
                                  ).reshape(self.band.shape, order="F")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for d in range(self.bandwidth + 1):
-            diag = self.band[self.bandwidth - d, d:]
-            idx = np.arange(self.n - d)
-            out[idx, idx + d] = diag
-            out[idx + d, idx] = diag
-        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -219,8 +205,8 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
     K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
     M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
     index = K.band_index(dofmap.element_dofs)        # M's as well
-    K.scatter(dofmap.element_dofs, k_el, index)
-    M.scatter(dofmap.element_dofs, m_el, index)
+    K.scatter(index, k_el)
+    M.scatter(index, m_el)
     return K, M, dofmap
 
 

@@ -19,17 +19,16 @@ of the assembled pencil at N = 1024 lies about 2e-12 relative below the
 closed-form value, where a conforming method in exact arithmetic stays
 above it.
 
-For k < n, C is applied as an operator (two banded triangular solves and
-one band product) in ARPACK's standard-mode Lanczos
-(scipy.sparse.linalg.eigsh, which="LA"), so no dense n x n matrix is
-formed.  Lanczos keeps ncv = min(n, 2k + 2) vectors: the k wanted and
-k + 2 spare, the ncv >= 2k the ARPACK Users' Guide (Lehoucq, Sorensen &
-Yang, SIAM 1998) advises.  More spares buy little here: mu = 1/lambda
-falls off as fast as the eigenvalues grow, so the wanted end of C's
-spectrum is well separated from the rest, and every extra vector adds to
-the cost of each restart and of the final dseupd.  ARPACK cannot return
-all n pairs, so k = n forms C densely and calls eigh; the tests use that
-dense path as their oracle.
+C is applied as an operator (two banded triangular solves and one band
+product) in ARPACK's standard-mode Lanczos (scipy.sparse.linalg.eigsh,
+which="LA"), so no dense n x n matrix is formed.  Lanczos keeps
+ncv = min(n, 2k + 2) vectors: the k wanted and k + 2 spare, the ncv >= 2k
+the ARPACK Users' Guide (Lehoucq, Sorensen & Yang, SIAM 1998) advises.
+More spares buy little here: mu = 1/lambda falls off as fast as the
+eigenvalues grow, so the wanted end of C's spectrum is well separated
+from the rest, and every extra vector adds to the cost of each restart
+and of the final dseupd.  ARPACK returns at most n - 1 pairs, so a
+request for k >= n is refused before anything is factored.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh
+from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from .assembly import SymBandMatrix
@@ -70,8 +69,7 @@ class Spectrum:
     per mode.  clustered flags eigenvalues whose neighbor gap is below
     CLUSTER_RTOL relatively; those eigenVECTORS are only defined up to
     rotation within the cluster.  iterations is the number of applications
-    of C = R^{-T} M R^{-1} that Lanczos took, and 1 for the dense reduction
-    that serves k = n.
+    of C = R^{-T} M R^{-1} that Lanczos took.
     """
 
     eigenvalues: np.ndarray
@@ -162,14 +160,6 @@ def _reduced_pairs(rband: np.ndarray, mu: np.ndarray, y: np.ndarray,
     return 1.0 / mu[sel], _tri_solve(rband, y[:, sel], "N")
 
 
-def _solve_dense_reduce(K: SymBandMatrix, M: SymBandMatrix, k: int):
-    rband = _factor_spd_band(K.band, "stiffness matrix")
-    y = _tri_solve(rband, M.to_dense(), "T")         # R^{-T} M
-    c = _tri_solve(rband, y.T, "T").T                # R^{-T} M R^{-1}
-    mu, y = eigh(0.5 * (c + c.T))
-    return _reduced_pairs(rband, mu, y, k)
-
-
 def _solve_lanczos(K: SymBandMatrix, M: SymBandMatrix, config: SolverConfig):
     # imported here: scipy.sparse.linalg adds megabytes to every process
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
@@ -203,16 +193,11 @@ def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
     """Compute the k smallest eigenpairs of the pencil (K, M)."""
     if K.n != M.n:
         raise InvalidSpec(f"matrix sizes disagree: {K.n} vs {M.n}")
-    if config.k > K.n:
-        raise KTooLarge(f"asked for {config.k} modes but only {K.n} dofs")
+    if config.k >= K.n:
+        raise KTooLarge(f"asked for {config.k} modes of {K.n} dofs, but "
+                        f"ARPACK returns at most n - 1 = {K.n - 1}")
     _factor_spd_band(M.band, "mass matrix")
-
-    if config.k == K.n:                              # beyond ARPACK's reach
-        lams, vecs = _solve_dense_reduce(K, M, config.k)
-        iters = 1
-    else:
-        lams, vecs, iters = _solve_lanczos(K, M, config)
-
+    lams, vecs, iters = _solve_lanczos(K, M, config)
     vecs, m_vecs = _m_normalize(M, vecs)
     res = residual_norms(K, M, lams, vecs, m_vecs)
     headroom = 1e2 * config.tol

@@ -9,6 +9,7 @@ from hermevp import (CoefficientSet, CoefficientViolation, DimensionMismatch,
                      FEFunction, InvalidSpec, MeshSpec, SymBandMatrix,
                      assemble, build_dof_map, build_mesh, element_matrices,
                      gauss_rule, shape_table)
+from oracle import to_dense
 
 
 def symbolic_shape_functions(p):
@@ -131,14 +132,19 @@ class TestDofMap:
             build_dof_map(4, 2)
 
 
+def scatter_one(A, idx, local):
+    """Scatter one element's local matrix as a batch of one."""
+    A.scatter(A.band_index(np.array([idx])), np.array([local]))
+
+
 class TestSymBandMatrix:
     def test_scatter_skips_eliminated_rows(self):
         A = SymBandMatrix(3, 1)
         local = np.array([[2.0, 1.0, 0.5],
                           [1.0, 3.0, 1.5],
                           [0.5, 1.5, 4.0]])
-        A.scatter(np.array([-1, 0, 1]), local)
-        dense = A.to_dense()
+        scatter_one(A, [-1, 0, 1], local)
+        dense = to_dense(A)
         expect = np.zeros((3, 3))
         expect[:2, :2] = local[1:, 1:]
         assert np.array_equal(dense, expect)
@@ -146,10 +152,10 @@ class TestSymBandMatrix:
     def test_scatter_accumulates(self):
         A = SymBandMatrix(4, 2)
         loc = np.full((2, 2), 1.0)
-        A.scatter(np.array([1, 2]), loc)
-        A.scatter(np.array([1, 2]), loc)
-        assert A.to_dense()[1, 2] == 2.0
-        assert A.to_dense()[2, 1] == 2.0
+        scatter_one(A, [1, 2], loc)
+        scatter_one(A, [1, 2], loc)
+        assert to_dense(A)[1, 2] == 2.0
+        assert to_dense(A)[2, 1] == 2.0
 
     def test_batched_scatter_equals_one_at_a_time(self):
         rng = np.random.default_rng(8)
@@ -157,10 +163,10 @@ class TestSymBandMatrix:
         local = rng.standard_normal((6, 6, 6))
         local = local + local.transpose(0, 2, 1)
         batched = SymBandMatrix(dm.n_free, dm.bandwidth)
-        batched.scatter(dm.element_dofs, local)
+        batched.scatter(batched.band_index(dm.element_dofs), local)
         single = SymBandMatrix(dm.n_free, dm.bandwidth)
         for e in range(6):
-            single.scatter(dm.element_dofs[e], local[e])
+            scatter_one(single, dm.element_dofs[e], local[e])
         assert np.array_equal(batched.band, single.band)
 
     def test_matvec_matches_dense(self):
@@ -172,9 +178,9 @@ class TestSymBandMatrix:
             if idx[-1] - idx[0] > 3:
                 continue
             sym = rng.standard_normal((4, 4))
-            A.scatter(idx, sym + sym.T)
+            scatter_one(A, idx, sym + sym.T)
         x = rng.standard_normal(9)
-        assert np.allclose(A.matvec(x), A.to_dense() @ x, atol=1e-14)
+        assert np.allclose(A.matvec(x), to_dense(A) @ x, atol=1e-14)
 
     def test_matvec_shape_checked(self):
         A = SymBandMatrix(4, 1)
@@ -183,7 +189,7 @@ class TestSymBandMatrix:
 
     def test_norm_inf(self):
         A = SymBandMatrix(3, 1)
-        A.scatter(np.array([0, 1]), np.array([[1.0, -2.0], [-2.0, 5.0]]))
+        scatter_one(A, [0, 1], [[1.0, -2.0], [-2.0, 5.0]])
         assert A.norm_inf() == 7.0
 
     @pytest.mark.parametrize("n,bw", [(1, 0), (5, 0), (9, 3), (40, 5),
@@ -192,7 +198,7 @@ class TestSymBandMatrix:
         rng = np.random.default_rng(10 * n + bw)
         A = SymBandMatrix(n, bw)
         A.band[:] = rng.standard_normal(A.band.shape)
-        expect = np.abs(A.to_dense()).sum(1).max()
+        expect = np.abs(to_dense(A)).sum(1).max()
         assert A.norm_inf() == pytest.approx(expect, rel=1e-14)
 
     def test_bad_shape_rejected(self):
@@ -240,15 +246,15 @@ class TestAssemble:
                           + b_q * vals[i] * vals[j]))
                 M_direct[i, j] = np.sum(wq * vals[i] * vals[j])
 
-        assert np.allclose(K.to_dense(), K_direct, rtol=1e-12, atol=1e-13)
-        assert np.allclose(M.to_dense(), M_direct, rtol=1e-12, atol=1e-15)
+        assert np.allclose(to_dense(K), K_direct, rtol=1e-12, atol=1e-13)
+        assert np.allclose(to_dense(M), M_direct, rtol=1e-12, atol=1e-15)
 
     def test_matrices_positive_definite(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=4,
                                    n_elements=16, kind="exp"))
         K, M, _ = assemble(mesh, shape_table(4), default_coeffs(1e-4))
-        np.linalg.cholesky(K.to_dense())
-        np.linalg.cholesky(M.to_dense())
+        np.linalg.cholesky(to_dense(K))
+        np.linalg.cholesky(to_dense(M))
 
     def test_degree_mismatch_rejected(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,

@@ -121,7 +121,8 @@ class TestExitCodes:
                          "--epsilon", "1e-8", "--modes", "30",
                          "--out", str(tmp_path))
         assert rc == 6
-        assert err.startswith("error: KTooLarge: only 29 of the 30 modes")
+        assert err.startswith("error: KTooLarge: asked for 30 modes of 30 "
+                              "dofs, but ARPACK returns at most n - 1 = 29")
 
     def test_grading_constant_rounding_to_zero(self, tmp_path, capsys):
         rc, _, err = run(capsys, "mesh-dump", "--beta", "1e-17",

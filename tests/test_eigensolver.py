@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from hermevp import (CoefficientSet, InvalidSpec, KTooLarge, MeshSpec,
@@ -10,6 +9,7 @@ from hermevp import (CoefficientSet, InvalidSpec, KTooLarge, MeshSpec,
                      Spectrum, SymBandMatrix, assemble, build_dof_map,
                      build_mesh, eigensolver, element_matrices,
                      residual_norms, shape_table, solve_smallest)
+from oracle import dense_reduce, pencil_eigenvalues
 
 
 def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
@@ -23,11 +23,6 @@ def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
     return assemble(mesh, shape_table(p), coeffs)
 
 
-def dense_oracle(K, M, k):
-    lams = eigh(K.to_dense(), M.to_dense(), eigvals_only=True)
-    return lams[:k]
-
-
 class TestSolveSmallest:
     @pytest.mark.parametrize("problem", [
         dict(epsilon=1.0, n=4, p=3),
@@ -38,15 +33,16 @@ class TestSolveSmallest:
         K, M, _ = assemble_problem(**problem)
         k = 5
         spec = solve_smallest(K, M, SolverConfig(k=k))
-        expect = dense_oracle(K, M, k)
+        expect = pencil_eigenvalues(K, M, k)
         assert np.max(np.abs(spec.eigenvalues - expect)
                       / np.abs(expect)) < 1e-10
 
     def test_all_modes_recoverable(self):
+        # ARPACK's most: every mode but the highest
         K, M, _ = assemble_problem()
-        k = K.n
+        k = K.n - 1
         spec = solve_smallest(K, M, SolverConfig(k=k))
-        expect = dense_oracle(K, M, k)
+        expect = pencil_eigenvalues(K, M, k)
         assert np.allclose(spec.eigenvalues, expect, rtol=1e-9)
 
     def test_eigenvalues_ascending_and_positive(self):
@@ -78,12 +74,13 @@ class TestSolveSmallest:
 
 
 class TestShiftInvert:
-    """Standard-mode Lanczos on C = R^{-T} M R^{-1}, the path for k < n."""
+    """Standard-mode Lanczos on C = R^{-T} M R^{-1}, against the same
+    reduction formed densely."""
 
     def test_agrees_with_dense_path(self):
         K, M, _ = assemble_problem(epsilon=1e-2, n=16, p=3, kind="exp")
-        for k in (3, K.n):
-            dense, _ = eigensolver._solve_dense_reduce(K, M, k)
+        for k in (3, K.n - 1):
+            dense, _ = dense_reduce(K, M, k)
             si = solve_smallest(K, M, SolverConfig(k=k))
             assert np.max(np.abs(si.eigenvalues - dense) / dense) < 1e-9
 
@@ -95,7 +92,7 @@ class TestShiftInvert:
                                                     epsilon, k):
         K, M, _ = assemble_problem(epsilon=epsilon, n=n, p=p, kind=kind,
                                    a=np.exp, b=lambda x: x)
-        dense, _ = eigensolver._solve_dense_reduce(K, M, k)
+        dense, _ = dense_reduce(K, M, k)
         si = solve_smallest(K, M, SolverConfig(k=k))
         assert np.max(np.abs(si.eigenvalues - dense) / dense) < 1e-12
 
@@ -161,8 +158,10 @@ class TestUnresolvableModes:
                                 a=np.exp, b=lambda x: x)
 
     def test_all_modes_beyond_rounding_raise_k_too_large(self):
+        # all 30 modes: refused as k >= n before the mu <= 0 check, which
+        # TestReducedPairs covers
         K, M, _ = self.problem()
-        with pytest.raises(KTooLarge, match="only 29 of the 30 modes"):
+        with pytest.raises(KTooLarge, match="at most n - 1 = 29"):
             solve_smallest(K, M, SolverConfig(k=K.n))
 
     def test_resolvable_modes_still_solve(self):
@@ -198,8 +197,9 @@ class TestClampedBeamLimit:
         dofmap = build_dof_map(n, p)
         K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
         M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-        K.scatter(dofmap.element_dofs, k_el)
-        M.scatter(dofmap.element_dofs, m_el)
+        index = K.band_index(dofmap.element_dofs)
+        K.scatter(index, k_el)
+        M.scatter(index, m_el)
         spec = solve_smallest(K, M, SolverConfig(k=2))
         k1 = brentq(lambda k: np.cosh(k) * np.cos(k) - 1.0, 4.0, 5.5)
         k2 = brentq(lambda k: np.cosh(k) * np.cos(k) - 1.0, 7.0, 8.5)
@@ -222,9 +222,10 @@ class TestResidualCheck:
 
 class TestClusterFlags:
     def test_near_degenerate_pair_flagged(self):
-        n = 4
+        # a fifth mode above the four asked for: ARPACK returns n - 1
+        n = 5
         K = SymBandMatrix(n, 0)
-        K.band[0] = [1.0, 2.0, 2.0 + 2e-9, 5.0]
+        K.band[0] = [1.0, 2.0, 2.0 + 2e-9, 5.0, 9.0]
         M = SymBandMatrix(n, 0)
         M.band[0] = 1.0
         spec = solve_smallest(K, M, SolverConfig(k=4))
@@ -236,6 +237,17 @@ class TestValidation:
         K, M, _ = assemble_problem()
         with pytest.raises(KTooLarge):
             solve_smallest(K, M, SolverConfig(k=K.n + 1))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_k_at_least_n_refused_before_factoring(self, extra):
+        # both matrices are indefinite, so factoring either would raise
+        # NotPositiveDefinite
+        K = SymBandMatrix(3, 0)
+        K.band[0] = [1.0, -1.0, 1.0]
+        M = SymBandMatrix(3, 0)
+        M.band[0] = [1.0, -1.0, 1.0]
+        with pytest.raises(KTooLarge, match="at most n - 1 = 2"):
+            solve_smallest(K, M, SolverConfig(k=3 + extra))
 
     def test_size_mismatch(self):
         K, M, _ = assemble_problem()

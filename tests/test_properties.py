@@ -1,15 +1,15 @@
 """Property tests: every drawn problem either raises a documented
 HermevpError or solves to a finite ascending spectrum that the dense
-reduction reproduces."""
+reduction oracle.dense_reduce reproduces."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermevp import (HermevpError, MeshKind, MeshSpec, SolverConfig,
-                     assemble, build_mesh, eigensolver, shape_table,
-                     solve_smallest)
+                     assemble, build_mesh, shape_table, solve_smallest)
 from hermevp.cli import resolve_coefficients
+from oracle import dense_reduce
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -33,5 +33,5 @@ def test_solve_or_documented_error(p, n, log_eps, kind, preset, k):
     assert len(lams) == k
     assert np.all(np.isfinite(lams))
     assert np.all(np.diff(lams) >= 0.0)
-    dense, _ = eigensolver._solve_dense_reduce(K, M, k)
+    dense, _ = dense_reduce(K, M, k)
     assert np.max(np.abs(lams - dense) / np.abs(dense)) < 1e-12
