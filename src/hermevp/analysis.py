@@ -177,10 +177,17 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float]) -> SlopeFit:
         raise NonpositiveError("sizes must be positive")
     logn = np.log(ns)
     loge = np.log(errors)
-    coef = np.polyfit(logn, loge, 1)
-    resid = float(np.abs(loge - np.polyval(coef, logn)).max())
-    return SlopeFit(slope=-float(coef[0]), intercept=float(coef[1]),
-                    max_log_residual=resid, ns=tuple(ns), errors=tuple(errors))
+    # the least-squares line in closed form, from sums of centred logs
+    x = logn - logn.mean()
+    y = loge - loge.mean()
+    sxx = float(x @ x)
+    if sxx == 0.0:
+        raise TooFewPoints(f"need two distinct sizes, got {ns.tolist()}")
+    rate = float(x @ y) / sxx
+    return SlopeFit(slope=-rate,
+                    intercept=float(loge.mean() - rate * logn.mean()),
+                    max_log_residual=float(np.abs(y - rate * x).max()),
+                    ns=tuple(ns), errors=tuple(errors))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -61,6 +62,8 @@ BENCHMARK_EIGENVALUES = {
     5: (None, 423.2341, 410.7243, 402.9403, 401.7117, 400.1930, 399.6647),
 }
 TABLE_N_LADDER = (8, 12, 16, 20, 24, 28, 32)
+# the mode files sample every eigenfunction at these points and the nodes
+GRID_POINTS = 2001
 
 # the study CSV's columns, StudyRecord fields, also keyed in the JSON records
 CSV_COLUMNS = ("mesh_kind", "epsilon", "p", "N", "dof", "mode", "lambda_h",
@@ -171,7 +174,22 @@ def _ensure_out(path: str) -> None:
         raise InvalidSpec(f"bad output directory {path}: {exc}") from exc
 
 
+@cache
+def _grid():
+    """The mode files' GRID_POINTS abscissae and their read-only fields,
+    built once per process."""
+    xs = np.linspace(0.0, 1.0, GRID_POINTS)
+    fields = float_fields(xs)
+    for array in (xs, fields):
+        array.setflags(write=False)
+    return xs, fields
+
+
 def cmd_solve(ns: argparse.Namespace) -> int:
+    """Solve, then write eigenvalues.csv and one mode_<m>.csv per mode: u
+    and u' at the grid points and the nodes.  Only the nodes' x fields
+    are rendered per call; every mode's u and u' are rendered in one
+    float_fields pass."""
     modes, out = ns.modes, ns.out
     coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, ns.epsilon)
     solver = SolverConfig(k=modes, tol=ns.tol)
@@ -186,14 +204,20 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     write_csv(os.path.join(out, "eigenvalues.csv"),
               ("mode", "lambda", "residual"), (int, float, float), rows)
 
-    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), mesh.nodes]))
-    x_fields = float_fields(xs)
+    grid, grid_fields = _grid()
+    # a value in both sets keeps the fields of its first occurrence, the
+    # grid's: the same double, so the same bytes
+    xs, first = np.unique(np.concatenate([grid, mesh.nodes]),
+                          return_index=True)
+    x_fields = np.concatenate([grid_fields, float_fields(mesh.nodes)])[first]
     u_du = FEFunction.from_dof_vector(mesh, dofmap, spectrum.eigenvectors)(
         xs, (0, 1))
+    # (order, mode, point): each mode's u and u' fields are contiguous
+    fields = float_fields(u_du.transpose(1, 2, 0)).reshape(2, modes, -1)
     for m in range(modes):
         write_columns(os.path.join(out, f"mode_{m + 1}.csv"),
                       ("x", "u", "du"), (float, float, float),
-                      (x_fields, u_du[:, 0, m], u_du[:, 1, m]))
+                      (x_fields, fields[0, m], fields[1, m]))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
           f"dof={dofmap.n_free}")
@@ -243,10 +267,11 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
                       f"({csv_path}): {exc}", file=sys.stderr)
                 raise
 
+        slopes = report.slope_blocks()
         payload = {
             "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
                         for r in report.records],
-            "slopes": report.slope_blocks(),
+            "slopes": slopes,
         }
         with open(stem + ".json", "w") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
@@ -255,8 +280,11 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
         for mode in report.modes():
             # the JSON's fits; refitting a series it skipped raises the
             # fit's refusal, which ends the command
-            lam, energy = (report.order(mode, metric, vs="dof").slope
-                           for metric in ("lambda_err_pct", "energy_err_pct"))
+            lam, energy = (
+                slopes[metric][str(mode)]["slope"]
+                if str(mode) in slopes.get(metric, {})
+                else report.order(mode, metric, vs="dof").slope
+                for metric in ("lambda_err_pct", "energy_err_pct"))
             print(f"  mode {mode}: lambda error order {lam:.2f}, "
                   f"energy error order {energy:.2f} (vs dof)")
     return 0
@@ -447,12 +475,21 @@ def build_parser(command=None):
     return parser, invoked
 
 
+@cache
+def _cached_parser(command):
+    """build_parser(command), built once per process.  parse_args leaves a
+    parser as it was, so every plain parse of one command reuses it."""
+    return build_parser(command)
+
+
 def _parse_options(argv=None) -> argparse.Namespace:
     """Parse argv; with --config, the file's values for this command's
-    flags become its defaults and argv is parsed again."""
+    flags become the defaults of a fresh parser, which parses argv again,
+    so no file value outlives its call."""
     argv = sys.argv[1:] if argv is None else argv
     first = argv[0] if argv else ""
-    parser, invoked = build_parser(first or None)
+    # every unknown or missing command has the parser without flags
+    parser, _ = _cached_parser(first if first in COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except InvalidSpec:
@@ -465,6 +502,7 @@ def _parse_options(argv=None) -> argparse.Namespace:
         return ns
     flags = COMMANDS[ns.command][2] + COMMON_FLAGS
     values = read_config_file(ns.config)
+    parser, invoked = build_parser(ns.command)
     invoked.set_defaults(
         **{key: value for key, value in values.items() if key in flags})
     try:

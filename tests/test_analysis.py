@@ -262,6 +262,23 @@ class TestFitSlope:
         with pytest.raises(TooFewPoints):
             fit_slope([8.0], [1.0])
 
+    def test_needs_two_distinct_sizes(self):
+        with pytest.raises(TooFewPoints, match="distinct"):
+            fit_slope([8.0, 8.0, 8.0], [1.0, 0.5, 0.25])
+
+    def test_matches_polyfit(self):
+        # the closed form against numpy's least-squares solve
+        rng = np.random.default_rng(3)
+        ns = np.array([16.0, 32.0, 64.0, 128.0, 256.0])
+        errors = ns ** -4.1 * np.exp(rng.normal(0.0, 0.2, len(ns)))
+        fit = fit_slope(ns, errors)
+        coef = np.polyfit(np.log(ns), np.log(errors), 1)
+        resid = np.log(errors) - np.polyval(coef, np.log(ns))
+        assert fit.slope == pytest.approx(-coef[0], rel=1e-13)
+        assert fit.intercept == pytest.approx(coef[1], rel=1e-13)
+        assert fit.max_log_residual == pytest.approx(np.abs(resid).max(),
+                                                     rel=1e-12)
+
     def test_length_mismatch(self):
         with pytest.raises(TooFewPoints):
             fit_slope([8.0, 16.0], [1.0])

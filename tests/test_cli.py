@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from hermevp import cli
 from hermevp.cli import COMMANDS, COMMON_FLAGS, OPTIONS, main
+from hermevp.mesh import MeshSpec, build_mesh
 
 
 def run(capsys, *argv):
@@ -547,6 +550,66 @@ class TestConfigFile:
         cfg.write_text("epsilon 1e-2\n")
         rc, _, err = run(capsys, "solve", "--config", str(cfg))
         assert rc == 2
+
+
+class TestRepeatedCalls:
+    """main() keeps each command's parser and the mode files' grid fields
+    for the life of the process; later calls must not see earlier ones."""
+
+    @pytest.mark.parametrize("command", ["mesh-dump", "solve"])
+    def test_config_values_do_not_outlive_their_call(self, tmp_path, capsys,
+                                                     command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon = 1e-2\nn = 8\n")
+        rc, out, _ = run(capsys, command, "--config", str(cfg),
+                         "--out", str(tmp_path / "file"))
+        assert rc == 0 and "N=8, " in out and "epsilon=0.01" in out
+        rc, out, _ = run(capsys, command, "--out", str(tmp_path / "plain"))
+        assert rc == 0 and "N=64, " in out and "epsilon=1e-06" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--p", "5", "--n", "16", "--modes", "3",
+         "--epsilon", "1e-4"),
+        ("mesh-dump", "--n", "16", "--epsilon", "1e-4"),
+        ("interp-study", "--n", "16,32", "--epsilon", "1e-4"),
+    ], ids=["solve", "mesh-dump", "interp-study"])
+    def test_identical_calls_write_identical_files(self, tmp_path, capsys,
+                                                   argv):
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            rc, stdout, _ = run(capsys, *argv, "--out", str(out))
+            assert rc == 0
+            outputs.append((stdout.replace(str(out), "OUT"),
+                            {f.name: f.read_bytes() for f in out.iterdir()}))
+        assert outputs[0] == outputs[1]
+
+    # on the uniform meshes every node (N = 16) or every third node
+    # (N = 24) is also a grid point
+    @pytest.mark.parametrize("mesh,n", [("uniform", 16), ("uniform", 24),
+                                        ("exp", 16)])
+    def test_x_column_is_grid_and_nodes(self, tmp_path, capsys, mesh, n):
+        rc, _, _ = run(capsys, "solve", "--p", "4", "--n", str(n),
+                       "--epsilon", "1e-3", "--mesh", mesh, "--modes", "2",
+                       "--out", str(tmp_path))
+        assert rc == 0
+        nodes = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=4,
+                                    n_elements=n, kind=mesh)).nodes
+        xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), nodes]))
+        expect = ["%.17g" % x for x in xs.tolist()]
+        for m in (1, 2):
+            lines = (tmp_path / f"mode_{m}.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == expect
+
+    def test_unknown_commands_share_one_parser(self, capsys):
+        cli._cached_parser.cache_clear()
+        for argv in (["bogus"], [], ["--epsilon", "1e-2", "solve"], ["-x"]):
+            rc, _, err = run(capsys, *argv)
+            assert rc == 2 and err.startswith("error: InvalidSpec")
+        assert cli._cached_parser.cache_info().currsize == 1
+        for name in COMMANDS:
+            assert cli._parse_options([name]).command == name
+        assert cli._cached_parser.cache_info().currsize == len(COMMANDS) + 1
 
 
 class TestTable1:

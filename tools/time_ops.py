@@ -10,13 +10,16 @@ named ops of OPS; without it every op runs, large_solve included, which
 takes minutes.  The sides alternate for ROUNDS rounds, each round in a
 fresh process per side; the side that runs first alternates, starting
 with before.  In a round every op runs ``hermevp.cli.main`` once as a
-warm-up and then REPEATS more times.  The JSON holds, per op and side, the median,
-quartiles and minimum of all timed runs in seconds, the per-round medians,
-and the number of rounds in which the after side's median was lower; with
-it the BLAS thread setting and the library versions.  BLAS is pinned to
-min(nproc, 2) threads before numpy loads, as in the benchmark.  The file
-is a record of the two versions on one machine; whether a difference is
-a gain is for its reader to judge from the spread.
+warm-up and then REPEATS more times, each run timed in wall seconds and in
+the process's CPU seconds (``time.process_time``, every thread, BLAS pools
+included).  The JSON holds, per op and side, the median, quartiles and
+minimum of all timed runs in wall seconds, the per-round medians, the same
+summary of CPU seconds under ``cpu``, and the number of rounds in which
+the after side's wall median was lower; with it the BLAS thread setting
+and the library versions.  BLAS is pinned to min(nproc, 2) threads before
+numpy loads, as in the benchmark.  The file is a record of the two
+versions on one machine; whether a difference is a gain is for its reader
+to judge from the spread.
 """
 
 from __future__ import annotations
@@ -66,19 +69,22 @@ OPS = {
 }
 
 
-def time_op(main, argv, out_dir) -> list:
-    times = []
+def time_op(main, argv, out_dir) -> tuple:
+    """Wall and CPU seconds of each timed run of argv."""
+    wall, cpu = [], []
     for i in range(REPEATS + 1):
         shutil.rmtree(out_dir, ignore_errors=True)
         with redirect_stdout(io.StringIO()):
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             rc = main(list(argv) + ["--out", out_dir])
-            seconds = time.perf_counter() - t0
+            seconds, cpu_seconds = (time.perf_counter() - t0,
+                                    time.process_time() - c0)
         if rc != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {rc}")
         if i:                                   # run 0 is the warm-up
-            times.append(seconds)
-    return times
+            wall.append(seconds)
+            cpu.append(cpu_seconds)
+    return wall, cpu
 
 
 def one_round(src: Path, names: list) -> dict:
@@ -91,8 +97,8 @@ def one_round(src: Path, names: list) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = os.path.join(tmp, "out")
-        times = {name: time_op(cli_main, OPS[name], out_dir)
-                 for name in names}
+        runs = {name: time_op(cli_main, OPS[name], out_dir)
+                for name in names}
     env = {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -101,7 +107,9 @@ def one_round(src: Path, names: list) -> dict:
         "nproc": len(os.sched_getaffinity(0)),
         "blas_threads": {v: os.environ[v] for v in BLAS_THREAD_VARS},
     }
-    return {"env": env, "times": times}
+    return {"env": env,
+            "times": {name: wall for name, (wall, _) in runs.items()},
+            "cpu_times": {name: cpu for name, (_, cpu) in runs.items()}}
 
 
 def summary(values: list, unit: str = "s") -> dict:
@@ -147,6 +155,7 @@ def main(argv=None) -> int:
             return 2
 
     times = {side: {name: [] for name in names} for side in sides}
+    cpu = {side: {name: [] for name in names} for side in sides}
     medians = {side: {name: [] for name in names} for side in sides}
     env = {}
     for i in range(ROUNDS):
@@ -158,13 +167,16 @@ def main(argv=None) -> int:
             for name, runs in result["times"].items():
                 times[side][name] += runs
                 medians[side][name].append(statistics.median(runs))
+            for name, runs in result["cpu_times"].items():
+                cpu[side][name] += runs
 
     ops = {}
     for name in names:
         ops[name] = {
             "argv": " ".join(OPS[name]),
             **{side: {**summary(times[side][name]),
-                      "round_medians_s": medians[side][name]}
+                      "round_medians_s": medians[side][name],
+                      "cpu": summary(cpu[side][name])}
                for side in sides},
             "after_lower_rounds": sum(
                 a < b for a, b in zip(medians["after"][name],
