@@ -188,8 +188,8 @@ def _grid():
 def cmd_solve(ns: argparse.Namespace) -> int:
     """Solve, then write eigenvalues.csv and one mode_<m>.csv per mode: u
     and u' at the grid points and the nodes.  Only the nodes' x fields
-    are rendered per call; every mode's u and u' are rendered in one
-    float_fields pass."""
+    are rendered per call; each mode's u and u' are rendered in one
+    float_fields pass as its file is written."""
     modes, out = ns.modes, ns.out
     coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, ns.epsilon)
     solver = SolverConfig(k=modes, tol=ns.tol)
@@ -212,12 +212,11 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     x_fields = np.concatenate([grid_fields, float_fields(mesh.nodes)])[first]
     u_du = FEFunction.from_dof_vector(mesh, dofmap, spectrum.eigenvectors)(
         xs, (0, 1))
-    # (order, mode, point): each mode's u and u' fields are contiguous
-    fields = float_fields(u_du.transpose(1, 2, 0)).reshape(2, modes, -1)
     for m in range(modes):
+        u, du = float_fields(u_du[:, :, m].T).reshape(2, -1)
         write_columns(os.path.join(out, f"mode_{m + 1}.csv"),
                       ("x", "u", "du"), (float, float, float),
-                      (x_fields, fields[0, m], fields[1, m]))
+                      (x_fields, u, du))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
           f"dof={dofmap.n_free}")
@@ -267,11 +266,10 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
                       f"({csv_path}): {exc}", file=sys.stderr)
                 raise
 
-        slopes = report.slope_blocks()
         payload = {
             "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
                         for r in report.records],
-            "slopes": slopes,
+            "slopes": report.slope_blocks(),
         }
         with open(stem + ".json", "w") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
@@ -280,11 +278,8 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
         for mode in report.modes():
             # the JSON's fits; refitting a series it skipped raises the
             # fit's refusal, which ends the command
-            lam, energy = (
-                slopes[metric][str(mode)]["slope"]
-                if str(mode) in slopes.get(metric, {})
-                else report.order(mode, metric, vs="dof").slope
-                for metric in ("lambda_err_pct", "energy_err_pct"))
+            lam, energy = (report.order(mode, metric, vs="dof").slope
+                           for metric in ("lambda_err_pct", "energy_err_pct"))
             print(f"  mode {mode}: lambda error order {lam:.2f}, "
                   f"energy error order {energy:.2f} (vs dof)")
     return 0

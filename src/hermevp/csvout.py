@@ -38,17 +38,17 @@ half (exact ties included), and a D not strictly between 1e16 and 1e17,
 where the exponent was off or rounding carries into a new digit.  Each
 field sits left-aligned and NUL-padded in a SLOT-byte window of its row,
 between the separators, and the file body is the row buffer with its NULs
-deleted by ``bytes.translate``, written as bytes to the binary buffer under
-the text file.  Columns are rendered and written CHUNK rows at a time, so
-the temporaries stay bounded whatever the file length; CHUNK is the
-fastest of those measured on the benchmark's ``fine_solve`` files
-(``BENCH_2026-10-19_csv-kernel.json``).
+deleted by ``bytes.translate``.  Columns are rendered and written CHUNK
+rows at a time, so the temporaries stay bounded whatever the file length;
+CHUNK is the fastest of those measured on the benchmark's ``fine_solve``
+files (``BENCH_2026-10-19_csv-kernel.json``).
 
 A column may also be passed already rendered, as ``float_fields`` gives
 it, and is then copied into its windows.  The mode files take every
-column that way: a solve renders all its modes' u and u' in one
-``float_fields`` pass, and its x column from the grid's fields, rendered
-once per process, and those of the mesh nodes.
+column that way.  Their x column joins the grid's fields, rendered once
+per process, with those of the mesh nodes.  Each mode's u and u' are
+rendered in one ``float_fields`` call as that mode's file is written, so
+only one file's rendered columns are held at a time.
 
 Every row (or column) is checked for its length first; one of the wrong
 length raises ``DimensionMismatch`` before anything is written, instead of
@@ -268,13 +268,10 @@ def _is_array_column(column) -> bool:
 def _write_arrays(fh, columns, n_rows) -> None:
     """Write the rows of float array columns CHUNK rows at a time: each
     value rendered (or already rendered) into its window of a row buffer
-    between the separators, then the buffer's NULs deleted and the bytes
-    written to the binary buffer under the text file fh."""
+    between the separators, then the buffer's NULs deleted."""
     step = SLOT + 1
     columns = [np.ascontiguousarray(c).view(np.uint8).reshape(n_rows, SLOT)
                if c.dtype == FIELD_DTYPE else _numbers(c) for c in columns]
-    fh.flush()                          # the header goes first
-    raw = fh.buffer
     for start in range(0, n_rows, CHUNK):
         stop = min(start + CHUNK, n_rows)
         buf = np.empty((stop - start, len(columns) * step + 1), np.uint8)
@@ -286,14 +283,12 @@ def _write_arrays(fh, columns, n_rows) -> None:
                 window[:] = column[start:stop]
             else:
                 _render(column[start:stop], window)
-        raw.write(buf.tobytes().translate(None, b"\0"))
+        fh.write(buf.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 class CsvWriter:
     """Writes the header on construction, then rows of the given column
-    kinds (float, int or str) to an open text file.  Float array columns
-    are written as bytes to the file's binary buffer, so they need a text
-    file over one, as ``open`` gives."""
+    kinds (float, int or str) to an open text file."""
 
     def __init__(self, fh, header, kinds):
         self.fh = fh

@@ -183,6 +183,11 @@ class TestWriter:
         write_columns(path, header, (float,) * 3,
                       [float_fields(values[:, 0]), values[:, 1], values[:, 2]])
         assert path.read_bytes() == expect
+        # any text file will do, one without a binary buffer too
+        fh = io.StringIO(newline="")
+        CsvWriter(fh, header, (float,) * 3).writecolumns(
+            [values[:, j] for j in range(3)])
+        assert fh.getvalue().encode() == expect
 
 
 def percent_fields(values):

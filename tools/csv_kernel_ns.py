@@ -94,14 +94,12 @@ def main(argv=None) -> int:
         else:
             x = [csvout.FLOAT_FIELD % v for v in xs.tolist()]
         for m in range(5):
-            # a text file over a binary buffer, as open() gives
-            fh = io.TextIOWrapper(io.BytesIO(), "ascii", newline="")
+            fh = io.StringIO(newline="")
             kinds = (float,) * 3 if arrays else (str, float, float)
             source = columns if arrays else lists
             csvout.CsvWriter(fh, HEADER, kinds).writecolumns(
                 (x, source[2 * m], source[2 * m + 1]))
-            fh.flush()
-            files.append(fh.buffer.getvalue())
+            files.append(fh.getvalue().encode())
         return files
 
     if write_files(True) != expect or write_files(False) != expect:
