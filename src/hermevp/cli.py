@@ -115,7 +115,13 @@ def resolve_coefficients(preset: str, a_expr: str, b_expr: str,
     a = make_expr_function(a_expr)
     b = make_expr_function(b_expr)
     probe = np.linspace(0.0, 1.0, 4097)
-    a_min = float(np.min(np.broadcast_to(a(probe), probe.shape)))
+    try:    # whatever an expression raises, the spec is at fault
+        a_at, _ = (np.broadcast_to(np.asarray(f(probe), dtype=float),
+                                   probe.shape) for f in (a, b))
+    except Exception as exc:
+        raise InvalidSpec(f"cannot evaluate a(x) = {a_expr!r} and b(x) = "
+                          f"{b_expr!r} on [0, 1]: {exc!r}") from exc
+    a_min = float(np.min(a_at))
     if not a_min > 0.0:                              # also catches NaN
         raise CoefficientViolation(
             f"a(x) = {a_expr!r} reaches {a_min} on [0, 1], need a > 0"
@@ -286,6 +292,8 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
 
 
 def cmd_interp_study(ns: argparse.Namespace) -> int:
+    if len(ns.n) < 2:                   # a fitted order needs two sizes
+        raise InvalidSpec(f"need at least 2 mesh sizes, got {ns.n}")
     report = interp_rate_study(ns.mesh, ns.epsilon, ns.beta, ns.p, ns.n)
     rows = [(report.mesh_kind.value, report.epsilon, report.beta, report.p,
              r.n_elements, r.max_err, r.max_err_d1, r.scaled_h2_err)
@@ -445,36 +453,27 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidSpec(message)
 
 
-def build_parser(command=None):
-    """The top-level parser and the subparser of command.  Every command
-    is registered with its help, but only command gets its flags: the
-    others are never parsed, and each flag costs a help formatter."""
+def build_parser():
+    """The top-level parser and each command's subparser by name, every
+    command with its help and its flags."""
     parser = _Parser(
         prog="hermevp",
         description="Fourth-order singularly perturbed eigenproblems with "
                     "C1 Hermite elements on layer-adapted meshes.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    invoked = None
     for name, (run, text, flags, overrides) in COMMANDS.items():
-        sp = sub.add_parser(name, help=text, formatter_class=_HelpFormatter,
-                            add_help=(name == command))
+        sp = sub.add_parser(name, help=text, formatter_class=_HelpFormatter)
         sp.set_defaults(run=run)
-        if name != command:
-            continue
-        invoked = sp
         for dest in flags + COMMON_FLAGS:
             type_, default, help_ = overrides.get(dest, OPTIONS[dest])
             sp.add_argument("--" + dest.replace("_", "-"), type=type_,
                             default=default, help=help_)
-    return parser, invoked
+    return parser, sub.choices
 
 
-@cache
-def _cached_parser(command):
-    """build_parser(command), built once per process.  parse_args leaves a
-    parser as it was, so every plain parse of one command reuses it."""
-    return build_parser(command)
+# parse_args leaves a parser as it was, so every plain parse reuses one
+_cached_parser = cache(build_parser)
 
 
 def _parse_options(argv=None) -> argparse.Namespace:
@@ -483,8 +482,7 @@ def _parse_options(argv=None) -> argparse.Namespace:
     so no file value outlives its call."""
     argv = sys.argv[1:] if argv is None else argv
     first = argv[0] if argv else ""
-    # every unknown or missing command has the parser without flags
-    parser, _ = _cached_parser(first if first in COMMANDS else None)
+    parser, _ = _cached_parser()
     try:
         ns = parser.parse_args(argv)
     except InvalidSpec:
@@ -497,8 +495,8 @@ def _parse_options(argv=None) -> argparse.Namespace:
         return ns
     flags = COMMANDS[ns.command][2] + COMMON_FLAGS
     values = read_config_file(ns.config)
-    parser, invoked = build_parser(ns.command)
-    invoked.set_defaults(
+    parser, commands = build_parser()
+    commands[ns.command].set_defaults(
         **{key: value for key, value in values.items() if key in flags})
     try:
         return parser.parse_args(argv)

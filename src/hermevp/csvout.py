@@ -38,17 +38,17 @@ half (exact ties included), and a D not strictly between 1e16 and 1e17,
 where the exponent was off or rounding carries into a new digit.  Each
 field sits left-aligned and NUL-padded in a SLOT-byte window of its row,
 between the separators, and the file body is the row buffer with its NULs
-deleted by ``bytes.translate``.  Columns are rendered and written CHUNK
+deleted by ``bytes.translate``.  Fields are rendered and written CHUNK
 rows at a time, so the temporaries stay bounded whatever the file length;
 CHUNK is the fastest of those measured on the benchmark's ``fine_solve``
 files (``BENCH_2026-10-19_csv-kernel.json``).
 
-A column may also be passed already rendered, as ``float_fields`` gives
-it, and is then copied into its windows.  The mode files take every
-column that way.  Their x column joins the grid's fields, rendered once
-per process, with those of the mesh nodes.  Each mode's u and u' are
-rendered in one ``float_fields`` call as that mode's file is written, so
-only one file's rendered columns are held at a time.
+A float file is written this way when every column is passed rendered,
+as ``float_fields`` gives it; a raw float array takes the ``%`` path like
+any other column.  The mode files' x column joins the grid's fields,
+rendered once per process, with those of the mesh nodes, and each mode's
+u and u' are rendered in one ``float_fields`` call as its file is
+written, so only one file's fields are held at a time.
 
 Every row (or column) is checked for its length first; one of the wrong
 length raises ``DimensionMismatch`` before anything is written, instead of
@@ -260,29 +260,24 @@ def float_fields(values) -> np.ndarray:
     return out
 
 
-def _is_array_column(column) -> bool:
-    return isinstance(column, np.ndarray) and (
-        column.dtype.kind == "f" or column.dtype == FIELD_DTYPE)
+def _is_fields_column(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == FIELD_DTYPE
 
 
-def _write_arrays(fh, columns, n_rows) -> None:
-    """Write the rows of float array columns CHUNK rows at a time: each
-    value rendered (or already rendered) into its window of a row buffer
-    between the separators, then the buffer's NULs deleted."""
+def _write_fields(fh, columns, n_rows) -> None:
+    """Write the rows of float_fields columns CHUNK rows at a time: each
+    field copied into its window of a row buffer between the separators,
+    then the buffer's NULs deleted."""
     step = SLOT + 1
     columns = [np.ascontiguousarray(c).view(np.uint8).reshape(n_rows, SLOT)
-               if c.dtype == FIELD_DTYPE else _numbers(c) for c in columns]
+               for c in columns]
     for start in range(0, n_rows, CHUNK):
         stop = min(start + CHUNK, n_rows)
         buf = np.empty((stop - start, len(columns) * step + 1), np.uint8)
         buf[:, step - 1::step] = ord(",")
         buf[:, -2:] = np.frombuffer(ROW_END.encode(), np.uint8)
         for j, column in enumerate(columns):
-            window = buf[:, j * step:j * step + SLOT]
-            if column.ndim == 2:                # already rendered
-                window[:] = column[start:stop]
-            else:
-                _render(column[start:stop], window)
+            buf[:, j * step:j * step + SLOT] = column[start:stop]
         fh.write(buf.tobytes().translate(None, b"\0").decode("ascii"))
 
 
@@ -308,8 +303,8 @@ class CsvWriter:
     def writecolumns(self, columns) -> None:
         """Columns of one length, one per column kind; row i holds item i
         of each.  Columns hold Python values, or, when every kind is
-        float, each may be a float numpy array or the float_fields of
-        one; then the kernel renders them."""
+        float, all of them may be float_fields output; then their fields
+        are copied into the rows."""
         width = len(self.kinds)
         lengths = set(map(len, columns))
         if len(columns) != width or len(lengths) > 1:
@@ -317,9 +312,9 @@ class CsvWriter:
                 f"CSV needs {width} columns of one length, got lengths "
                 f"{[len(c) for c in columns]}")
         n_rows = lengths.pop()
-        if self.kinds == (float,) * width and all(map(_is_array_column,
+        if self.kinds == (float,) * width and all(map(_is_fields_column,
                                                       columns)):
-            _write_arrays(self.fh, columns, n_rows)
+            _write_fields(self.fh, columns, n_rows)
             return
         kinds = list(self.kinds)
         fields = [None] * (width * n_rows)

@@ -62,14 +62,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Computed lower spectrum, eigenvalues ascending, vectors M-normalized.
+    """Computed lower spectrum, eigenvalues ascending, vectors M-normalized
+    (u = R^{-1} y / sqrt(mu), as u^T M u = y^T C y = mu), each with its
+    largest entry positive.
 
     residuals holds the backward-error measure
         ||K u - lambda M u|| / ((||K||_inf + |lambda| ||M||_inf) ||u||)
     per mode.  clustered flags eigenvalues whose neighbor gap is below
     CLUSTER_RTOL relatively; those eigenVECTORS are only defined up to
-    rotation within the cluster.  iterations is the number of applications
-    of C = R^{-T} M R^{-1} that Lanczos took.
+    rotation within the cluster.  ortho_error is max |U^T M U - I|.
+    iterations is the number of applications of C = R^{-T} M R^{-1} that
+    Lanczos took.
     """
 
     eigenvalues: np.ndarray
@@ -120,25 +123,6 @@ def _cluster_flags(lams: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _m_normalize(M: SymBandMatrix, vecs: np.ndarray):
-    """vecs scaled to u^T M u = 1, each with its largest entry positive,
-    and M times them, scaled alike."""
-    out = vecs.copy()
-    m_out = np.empty_like(out)
-    for i in range(out.shape[1]):
-        m_out[:, i] = M.matvec(out[:, i])
-        s = out[:, i] @ m_out[:, i]
-        if s <= 0.0:
-            raise NotPositiveDefinite(f"u^T M u = {s} for eigenvector {i}")
-        out[:, i] /= np.sqrt(s)
-        m_out[:, i] /= np.sqrt(s)
-        j = int(np.argmax(np.abs(out[:, i])))
-        if out[j, i] < 0.0:
-            out[:, i] = -out[:, i]
-            m_out[:, i] = -m_out[:, i]
-    return out, m_out
-
-
 def _tri_solve(rband: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     x, info = dtbtrs(rband, b, uplo="U", trans=trans, diag="N")
     if info != 0:
@@ -148,8 +132,9 @@ def _tri_solve(rband: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
 
 def _reduced_pairs(rband: np.ndarray, mu: np.ndarray, y: np.ndarray,
                    k: int):
-    """The k largest mu of C and their y as lambda = 1/mu ascending and
-    u = R^{-1} y."""
+    """The k largest mu of C and their unit y as lambda = 1/mu ascending
+    and u = R^{-1} y / sqrt(mu), largest entry positive: u^T M u = y^T C y
+    = mu, so u is M-normalized to within the residual ||C y - mu y|| / mu."""
     sel = np.argsort(mu)[::-1][:k]                   # largest mu first
     if np.any(mu[sel] <= 0.0):
         raise KTooLarge(
@@ -157,14 +142,24 @@ def _reduced_pairs(rband: np.ndarray, mu: np.ndarray, y: np.ndarray,
             f"resolved: mu = 1/lambda of the highest modes falls below "
             f"rounding error"
         )
-    return 1.0 / mu[sel], _tri_solve(rband, y[:, sel], "N")
+    u = _tri_solve(rband, y[:, sel], "N")
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(len(sel))]
+    return 1.0 / mu[sel], u / np.copysign(np.sqrt(mu[sel]), peak)
 
 
-def _solve_lanczos(K: SymBandMatrix, M: SymBandMatrix, config: SolverConfig):
+def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
+                   config: SolverConfig) -> Spectrum:
+    """Compute the k smallest eigenpairs of the pencil (K, M)."""
     # imported here: scipy.sparse.linalg adds megabytes to every process
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh)
 
+    if K.n != M.n:
+        raise InvalidSpec(f"matrix sizes disagree: {K.n} vs {M.n}")
+    if config.k >= K.n:
+        raise KTooLarge(f"asked for {config.k} modes of {K.n} dofs, but "
+                        f"ARPACK returns at most n - 1 = {K.n - 1}")
+    _factor_spd_band(M.band, "mass matrix")
     rband = _factor_spd_band(K.band, "stiffness matrix")
     applications = 0
 
@@ -185,20 +180,8 @@ def _solve_lanczos(K: SymBandMatrix, M: SymBandMatrix, config: SolverConfig):
             f"restarts ({len(exc.eigenvalues)} of {config.k} modes "
             f"converged)"
         ) from exc
-    return (*_reduced_pairs(rband, mu, y, config.k), applications)
-
-
-def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
-                   config: SolverConfig) -> Spectrum:
-    """Compute the k smallest eigenpairs of the pencil (K, M)."""
-    if K.n != M.n:
-        raise InvalidSpec(f"matrix sizes disagree: {K.n} vs {M.n}")
-    if config.k >= K.n:
-        raise KTooLarge(f"asked for {config.k} modes of {K.n} dofs, but "
-                        f"ARPACK returns at most n - 1 = {K.n - 1}")
-    _factor_spd_band(M.band, "mass matrix")
-    lams, vecs, iters = _solve_lanczos(K, M, config)
-    vecs, m_vecs = _m_normalize(M, vecs)
+    lams, vecs = _reduced_pairs(rband, mu, y, config.k)
+    m_vecs = np.stack([M.matvec(u) for u in vecs.T], axis=1)
     res = residual_norms(K, M, lams, vecs, m_vecs)
     headroom = 1e2 * config.tol
     if np.any(res > headroom):
@@ -213,5 +196,5 @@ def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
         ortho_error=float(np.abs(vecs.T @ m_vecs
                                  - np.eye(vecs.shape[1])).max()),
         clustered=_cluster_flags(lams),
-        iterations=iters,
+        iterations=applications,
     )

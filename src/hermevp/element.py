@@ -95,7 +95,7 @@ class ShapeTable:
     """Shapes and their first two reference derivatives at quadrature
     points, with the coefficient-free element integrals they give:
     k2[i, j] = sum_q w_q d2[i, q] d2[j, q] and m0 the same over values.
-    Every array is read-only, since the default tables are shared."""
+    Every array is read-only, since the tables are shared."""
 
     p: int
     rule: QuadRule
@@ -113,26 +113,19 @@ class ShapeTable:
             arr.setflags(write=False)
 
 
-def shape_table(p: int, rule: QuadRule | None = None) -> ShapeTable:
-    """Tabulate the degree-p basis; the default rule uses 2p Gauss points,
-    enough for products of basis second-derivatives times smooth data.
-    With the default rule the table depends on p alone and one read-only
-    table per p is shared; an explicit rule tabulates a fresh one."""
-    if rule is None:
-        return _default_shape_table(p)
-    s = rule.points
+@lru_cache(maxsize=32)
+def shape_table(p: int) -> ShapeTable:
+    """Tabulate the degree-p basis at 2p Gauss points, enough for products
+    of basis second-derivatives times smooth data.  The table depends on
+    p alone, so one read-only table per p is shared."""
+    rule = gauss_rule(2 * p)
     return ShapeTable(
         p=p,
         rule=rule,
-        values=hermite_basis(p, s, 0),
-        d1=hermite_basis(p, s, 1),
-        d2=hermite_basis(p, s, 2),
+        values=hermite_basis(p, rule.points, 0),
+        d1=hermite_basis(p, rule.points, 1),
+        d2=hermite_basis(p, rule.points, 2),
     )
-
-
-@lru_cache(maxsize=32)
-def _default_shape_table(p: int) -> ShapeTable:
-    return shape_table(p, gauss_rule(2 * p))
 
 
 @dataclass(frozen=True)
@@ -299,21 +292,13 @@ def hermite_interpolant(data: HermiteData, n: int = 1) -> PiecewiseFunction:
     return PiecewiseFunction(data.nodes[::n].copy(), coeffs)
 
 
-def eval_layer_function(x, epsilon: float, beta: float,
-                        side: str = "left", deriv: int = 0):
-    """Boundary-layer exponential e^{-beta x/eps} (left) or its mirror
-    e^{-beta (1-x)/eps} (right), with exact derivatives; a tuple of
-    orders computes the exponential once and gives one column per order."""
+def eval_layer_function(x, epsilon: float, beta: float, deriv: int = 0):
+    """Layer function e^{-beta x/eps} and its exact derivatives; a tuple of
+    orders gives one column per order from one exponential."""
     if epsilon <= 0.0 or beta <= 0.0:
         raise InvalidSpec("epsilon and beta must be positive")
-    x = np.asarray(x, dtype=float)
     rate = beta / epsilon
-    if side == "left":
-        scale, e = -rate, np.exp(-rate * x)
-    elif side == "right":
-        scale, e = rate, np.exp(-rate * (1.0 - x))
-    else:
-        raise InvalidSpec(f"side must be 'left' or 'right', got {side!r}")
+    e = np.exp(-rate * np.asarray(x, dtype=float))
     if np.ndim(deriv) == 0:
-        return scale**deriv * e
-    return np.stack([scale**d * e for d in deriv], axis=-1)
+        return (-rate)**deriv * e
+    return np.stack([(-rate)**d * e for d in deriv], axis=-1)

@@ -377,6 +377,20 @@ class TestCoefficientExpressions:
                          "--a-expr", "1", "--out", str(tmp_path))
         assert rc == 2
 
+    # evaluation fails on the probe: an exception of numpy or Python
+    @pytest.mark.parametrize("a_expr,b_expr", [
+        ("1", "1/0"), ("exp", "0"), ("1", "exp"), ("x if x else 1", "0"),
+    ], ids=["zero-division", "bare-ufunc-a", "bare-ufunc-b", "truth-value"])
+    def test_unevaluable_expression(self, tmp_path, capsys, a_expr, b_expr):
+        rc, _, err = run(capsys, "solve", "--preset", "custom",
+                         "--a-expr", a_expr, "--b-expr", b_expr,
+                         "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith(f"error: InvalidSpec: cannot evaluate a(x) = "
+                              f"{a_expr!r} and b(x) = {b_expr!r} on [0, 1]: ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_custom_expressions_work(self, tmp_path, capsys):
         rc, out, _ = run(capsys, "solve", "--preset", "custom",
                          "--a-expr", "1 + sin(x)**2",
@@ -483,6 +497,15 @@ class TestInterpStudy:
         rows = read_rows(tmp_path / "interp.csv")
         assert len(rows) == 3
         assert float(rows[0]["max_err"]) > float(rows[-1]["max_err"])
+
+
+    def test_one_size_refused_before_writing(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "interp-study", "--epsilon", "1e-3",
+                         "--n", "16", "--out", str(tmp_path))
+        assert rc == 2
+        assert err == "error: InvalidSpec: need at least 2 mesh sizes, " \
+                      "got [16]\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMeshDump:
@@ -601,15 +624,16 @@ class TestRepeatedCalls:
             lines = (tmp_path / f"mode_{m}.csv").read_text().splitlines()
             assert [line.split(",")[0] for line in lines[1:]] == expect
 
-    def test_unknown_commands_share_one_parser(self, capsys):
+    def test_every_command_shares_one_parser(self, capsys):
         cli._cached_parser.cache_clear()
         for argv in (["bogus"], [], ["--epsilon", "1e-2", "solve"], ["-x"]):
             rc, _, err = run(capsys, *argv)
             assert rc == 2 and err.startswith("error: InvalidSpec")
-        assert cli._cached_parser.cache_info().currsize == 1
+        parser = cli._cached_parser()
         for name in COMMANDS:
             assert cli._parse_options([name]).command == name
-        assert cli._cached_parser.cache_info().currsize == len(COMMANDS) + 1
+        assert cli._cached_parser() is parser
+        assert cli._cached_parser.cache_info().currsize == 1
 
 
 class TestTable1:

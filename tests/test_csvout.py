@@ -31,9 +31,9 @@ def csv_writer_bytes(header, rows):
 
 def written(tmp_path, header, kinds, rows, by_columns=False):
     path = tmp_path / "out.csv"
-    if by_columns == "arrays":
+    if by_columns == "fields":
         write_columns(path, header, kinds,
-                      [np.array(c, dtype=float) for c in zip(*rows)])
+                      [float_fields(c) for c in zip(*rows)])
     elif by_columns:
         write_columns(path, header, kinds, [list(c) for c in zip(*rows)])
     else:
@@ -65,11 +65,15 @@ class TestWriter:
         assert written(tmp_path, header, (float,) * 3,
                        table.tolist()) == expect
         assert written(tmp_path, header, (float,) * 3, table.tolist(),
-                       "arrays") == expect
+                       "fields") == expect
+        x = float_fields(table[:, 0])
         path = tmp_path / "shared.csv"
-        write_columns(path, header, (float,) * 3,
-                      (float_fields(table[:, 0]), table[:, 1], table[:, 2]))
-        assert path.read_bytes() == expect
+        for u, du in ((1, 2), (2, 1)):
+            write_columns(path, header, (float,) * 3,
+                          (x, float_fields(table[:, u]),
+                           float_fields(table[:, du])))
+            assert path.read_bytes() == csv_writer_bytes(
+                header, table[:, [0, u, du]].tolist()).encode()
 
     def test_streamed_rows_equal_whole_file(self, tmp_path):
         header = ("name", "n", "value")
@@ -162,8 +166,8 @@ class TestWriter:
 
     @pytest.mark.parametrize("chunk", [None, 7], ids=["one-pass", "chunked"])
     def test_float_arrays_match_lists(self, tmp_path, monkeypatch, chunk):
-        # the kernel path (every column a float array) against the % path,
-        # in one pass or CHUNK rows at a time
+        # the fields path (every column float_fields output) against the %
+        # path, in one pass or CHUNK rows at a time
         if chunk:
             monkeypatch.setattr(csvout, "CHUNK", chunk)
         rng = np.random.default_rng(2)
@@ -175,18 +179,20 @@ class TestWriter:
         expect = csv_writer_bytes(header, rows).encode()
         assert written(tmp_path, header, (float,) * 3, rows, True) == expect
         assert written(tmp_path, header, (float,) * 3, rows,
-                       "arrays") == expect
-        path = tmp_path / "strided.csv"
+                       "fields") == expect
+        # the rows of one float_fields call over all columns, as a solve
+        # renders u and u'
+        path = tmp_path / "stacked.csv"
+        fields = float_fields(values.T).reshape(3, -1)
+        write_columns(path, header, (float,) * 3, list(fields))
+        assert path.read_bytes() == expect
+        # raw float arrays are written by the % path like any column
         write_columns(path, header, (float,) * 3,
                       [values[:, j] for j in range(3)])
         assert path.read_bytes() == expect
-        write_columns(path, header, (float,) * 3,
-                      [float_fields(values[:, 0]), values[:, 1], values[:, 2]])
-        assert path.read_bytes() == expect
         # any text file will do, one without a binary buffer too
         fh = io.StringIO(newline="")
-        CsvWriter(fh, header, (float,) * 3).writecolumns(
-            [values[:, j] for j in range(3)])
+        CsvWriter(fh, header, (float,) * 3).writecolumns(list(fields))
         assert fh.getvalue().encode() == expect
 
 

@@ -174,14 +174,39 @@ class TestReducedPairs:
     def test_largest_mu_become_ascending_lambda(self):
         rband = np.ones((1, 3))                      # R = I
         mu = np.array([0.25, -1e-17, 0.5])
-        lams, vecs = eigensolver._reduced_pairs(rband, mu, np.eye(3), 2)
+        y = np.array([[0.6, 0.0, 0.0],
+                      [0.0, 1.0, 0.8],
+                      [-0.8, 0.0, -0.6]])
+        lams, vecs = eigensolver._reduced_pairs(rband, mu, y, 2)
         assert lams.tolist() == [2.0, 4.0]
-        assert np.array_equal(vecs, np.eye(3)[:, [2, 0]])
+        # y / sqrt(mu), each column's largest entry made positive
+        expect = np.column_stack([y[:, 2] / np.sqrt(0.5),
+                                  -y[:, 0] / np.sqrt(0.25)])
+        assert np.array_equal(vecs, expect)
 
     def test_nonpositive_mu_raise_k_too_large(self):
         mu = np.array([0.25, -1e-17, 0.5])
         with pytest.raises(KTooLarge, match="only 2 of the 3 modes"):
             eigensolver._reduced_pairs(np.ones((1, 3)), mu, np.eye(3), 3)
+
+
+class TestNormalizationThroughReduction:
+    # u^T M u = y^T C y = mu: the division by sqrt(mu) M-normalizes the
+    # returned vectors to within ARPACK's residual, on the benchmark's
+    # fine pencil and the convergence study's reference pencil
+    @pytest.mark.parametrize("problem", [
+        dict(epsilon=1e-8, n=512, p=5, kind="exp", a=np.exp,
+             b=lambda x: x),
+        dict(epsilon=1e-8, n=1024, p=3, kind="shishkin"),
+    ], ids=["exp-p5-expx", "shishkin-p3-const"])
+    def test_vectors_are_m_orthonormal(self, problem):
+        K, M, _ = assemble_problem(**problem)
+        k = 5
+        vecs = solve_smallest(K, M, SolverConfig(k=k)).eigenvectors
+        m_vecs = np.stack([M.matvec(u) for u in vecs.T], axis=1)
+        gram = vecs.T @ m_vecs
+        assert np.abs(np.diag(gram) - 1.0).max() <= 1e-12
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
 
 
 class TestClampedBeamLimit:

@@ -12,9 +12,9 @@ alike:
 
 - ns per float of ``float_fields`` and of ``'%.17g' % v`` over a list;
 - the five mode files written as the solve writes them: the shared ``x``
-  fields rendered once, then each file from float arrays through the
-  kernel, against the same files from lists through the ``%`` path, ``x``
-  preformatted once as strings;
+  fields rendered once, then each file's ``u`` and ``u'`` rendered in one
+  ``float_fields`` call and written as fields, against the same files
+  from lists through the ``%`` path, ``x`` preformatted once as strings;
 - the kernel's five files again for each of CHUNK_SWEEP as
   ``csvout.CHUNK``.
 
@@ -95,10 +95,14 @@ def main(argv=None) -> int:
             x = [csvout.FLOAT_FIELD % v for v in xs.tolist()]
         for m in range(5):
             fh = io.StringIO(newline="")
-            kinds = (float,) * 3 if arrays else (str, float, float)
-            source = columns if arrays else lists
-            csvout.CsvWriter(fh, HEADER, kinds).writecolumns(
-                (x, source[2 * m], source[2 * m + 1]))
+            if arrays:
+                kinds = (float,) * 3
+                u, du = csvout.float_fields(
+                    np.stack(columns[2 * m:2 * m + 2])).reshape(2, -1)
+            else:
+                kinds = (str, float, float)
+                u, du = lists[2 * m], lists[2 * m + 1]
+            csvout.CsvWriter(fh, HEADER, kinds).writecolumns((x, u, du))
             files.append(fh.getvalue().encode())
         return files
 
