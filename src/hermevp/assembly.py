@@ -18,6 +18,7 @@ and eig_banded expect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -60,20 +61,22 @@ class SymBandMatrix:
         # Fortran order is what BLAS and LAPACK take without a copy
         self.band = np.zeros((bandwidth + 1, n), order="F")
 
-    def band_index(self, idx: np.ndarray):
-        """Where scatter puts the entries of local matrices at idx, of shape
-        (n_el, m): the mask of the kept entries (free, upper triangle) and
-        their flat positions in band.  Matrices of one shape share it."""
-        ii, jj = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+    def band_index(self, idx: np.ndarray, pairs: np.ndarray):
+        """Where scatter puts the local entries at pairs, of shape (2, m):
+        the (row, column) of each entry in the local dof order of elements
+        with global dofs idx, of shape (n_el, p+1).  Gives the mask of the
+        kept entries (both dofs free, row <= column globally) and their
+        flat positions in band.  Matrices of one shape share it."""
+        ii, jj = idx[:, pairs[0]], idx[:, pairs[1]]
         keep = (ii >= 0) & (ii <= jj)
         jj = jj[keep]
         return keep, self.bandwidth + ii[keep] - jj + (self.bandwidth + 1) * jj
 
     def scatter(self, index, local: np.ndarray) -> None:
-        """Add dense symmetric local matrices, of shape (n_el, m, m), at
-        index = band_index(idx).  Negative indices mark eliminated dofs and
-        are skipped; contributions to one entry are summed in element
-        order."""
+        """Add the local entries, of shape (n_el, m), at index =
+        band_index(idx, pairs).  Entries of eliminated dofs and of the
+        lower triangle are skipped; contributions to one entry are summed
+        in (element, pair) order."""
         keep, flat = index
         self.band += np.bincount(flat, weights=local[keep],
                                  minlength=self.band.size
@@ -107,11 +110,12 @@ class DofMap:
     element_dofs: np.ndarray      # (n_elements, p+1), -1 for eliminated dofs
     value_indices: np.ndarray     # free index of each interior node's value dof
     slope_indices: np.ndarray
+    pairs: np.ndarray             # (2, (p+1)(p+2)/2) local (row, column)
 
     def __post_init__(self):
-        self.element_dofs.setflags(write=False)
-        self.value_indices.setflags(write=False)
-        self.slope_indices.setflags(write=False)
+        for arr in (self.element_dofs, self.value_indices,
+                    self.slope_indices, self.pairs):
+            arr.setflags(write=False)
 
 
 def build_dof_map(n_elements: int, p: int) -> DofMap:
@@ -143,27 +147,46 @@ def build_dof_map(n_elements: int, p: int) -> DofMap:
         element_dofs=element_dofs,
         value_indices=node_value[1:N].copy(),
         slope_indices=node_slope[1:N].copy(),
+        pairs=_kept_pairs(p),
     )
 
 
-def element_matrices(h, shapes: ShapeTable, epsilon: float,
-                     a_vals: np.ndarray, b_vals: np.ndarray):
-    """Local stiffness and mass matrices of elements of widths h, shape
-    (n_el,), with coefficient samples a_vals, b_vals of shape (n_el, nq)
-    at the mapped quadrature points: two (n_el, p+1, p+1) stacks.  One
-    element is a batch of one.
-    """
-    h = np.asarray(h, dtype=float)[:, None, None]
-    w = shapes.rule.weights
-    k1 = np.einsum("eq,iq,kq->eik", a_vals * w, shapes.d1, shapes.d1)
-    k0 = np.einsum("eq,iq,kq->eik", b_vals * w, shapes.values, shapes.values)
+@lru_cache(maxsize=32)
+def _kept_pairs(p: int) -> np.ndarray:
+    """The local (row, column) pairs the band keeps, shape (2, m): an
+    element's local dofs sit at these offsets from e(p-1), so its entries
+    in the band's upper triangle are (i, j) with offset[i] <= offset[j].
+    They run row-major, the order of the (p+1)^2 local entries."""
+    offset = np.concatenate([[-2, -1, p - 3, p - 2], np.arange(p - 3)])
+    return np.array(np.nonzero(offset[:, None] <= offset))
 
-    k_loc = (epsilon**2 / h**3) * shapes.k2 + (1.0 / h) * k1 + h * k0
-    m_loc = h * shapes.m0
+
+def element_matrices(h, shapes: ShapeTable, epsilon: float,
+                     a_vals: np.ndarray, b_vals: np.ndarray,
+                     pairs: np.ndarray):
+    """Local stiffness and mass entries of elements of widths h, shape
+    (n_el,), with coefficient samples a_vals, b_vals of shape (n_el, nq)
+    at the mapped quadrature points: two (n_el, m) arrays, one column per
+    local (row, column) pair of pairs, of shape (2, m).  Assembly passes
+    the band's kept triangle, DofMap.pairs; every pair of the (p+1)^2
+    gives the full local matrices.  Each entry is the same product of the
+    same factors whichever pairs are asked for.  One element is a batch
+    of one.
+    """
+    i, j = pairs
+    h = np.asarray(h, dtype=float)[:, None]
+    w = shapes.rule.weights
+    k1 = np.einsum("eq,pq,pq->ep", a_vals * w, shapes.d1[i], shapes.d1[j])
+    k0 = np.einsum("eq,pq,pq->ep", b_vals * w, shapes.values[i],
+                   shapes.values[j])
+
+    k_loc = (epsilon**2 / h**3) * shapes.k2[i, j] + (1.0 / h) * k1 + h * k0
+    m_loc = h * shapes.m0[i, j]
     scale = np.ones((len(h), shapes.p + 1))
-    scale[:, 1] = scale[:, 3] = h[:, 0, 0]
-    k_loc *= scale[:, :, None] * scale[:, None, :]
-    m_loc *= scale[:, :, None] * scale[:, None, :]
+    scale[:, 1] = scale[:, 3] = h[:, 0]
+    scale = scale[:, i] * scale[:, j]
+    k_loc *= scale
+    m_loc *= scale
     return k_loc, m_loc
 
 
@@ -198,26 +221,46 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
     if np.any(b_at < 0.0):
         raise CoefficientViolation(f"b(x) reaches {float(b_at.min())} < 0")
 
-    k_el, m_el = element_matrices(widths, shapes, coeffs.epsilon, a_at, b_at)
     dofmap = build_dof_map(mesh.n_elements, shapes.p)
     if dofmap.n_free == 0:
         raise InvalidSpec("no free dofs: mesh too small for clamped ends")
     K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
     M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-    index = K.band_index(dofmap.element_dofs)        # M's as well
-    K.scatter(index, k_el)
-    M.scatter(index, m_el)
+    index = K.band_index(dofmap.element_dofs, dofmap.pairs)  # M's as well
+    # finite samples can still overflow the products; refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_el, m_el = element_matrices(widths, shapes, coeffs.epsilon, a_at,
+                                      b_at, dofmap.pairs)
+        K.scatter(index, k_el)
+        M.scatter(index, m_el)
+    for name, A in (("stiffness matrix K", K), ("mass matrix M", M)):
+        if not np.isfinite(A.band).all():
+            raise CoefficientViolation(
+                f"the {name} overflows: an entry is not finite, so the "
+                f"coefficients are too large for double precision"
+            )
     return K, M, dofmap
 
 
-@dataclass
+def _owned(arr) -> np.ndarray:
+    """arr as a float array to be made read-only: one that owns its data
+    is taken over, as Mesh takes its nodes; a view or any other input is
+    copied."""
+    arr = np.asarray(arr, dtype=float)
+    return arr if arr.flags.owndata else arr.copy()
+
+
+@dataclass(frozen=True)
 class FEFunction:
     """A member of the C1 space, evaluable anywhere with any derivative.
 
     Holds full (unconstrained) coefficient arrays; clamped end dofs are zero.
     A trailing mode axis on every array, node_values of shape
     (n_elements + 1, modes), holds several functions on one mesh, and
-    evaluating them gives the same trailing axis.
+    evaluating them gives the same trailing axis.  The arrays are made
+    read-only, each taken over when it owns its data and copied
+    otherwise, since the per-element power coefficients every call reads
+    are built once, when the function is made.
     """
 
     mesh: Mesh
@@ -225,18 +268,33 @@ class FEFunction:
     node_values: np.ndarray
     node_slopes: np.ndarray
     bubbles: np.ndarray = field(default=None)  # (n_elements, p-3[, modes])
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.mesh.n_elements
-        self.node_values = np.asarray(self.node_values, dtype=float)
-        self.node_slopes = np.asarray(self.node_slopes, dtype=float)
-        modes = self.node_values.shape[1:]
-        if self.bubbles is None:
-            self.bubbles = np.zeros((n, self.p - 3) + modes)
-        if (self.node_values.shape != (n + 1,) + modes
-                or self.node_slopes.shape != (n + 1,) + modes
-                or self.bubbles.shape != (n, self.p - 3) + modes):
+        h = self.mesh.widths
+        n = len(h)
+        values = _owned(self.node_values)
+        slopes = _owned(self.node_slopes)
+        modes = values.shape[1:]
+        bubbles = np.zeros((n, self.p - 3) + modes) if self.bubbles is None \
+            else _owned(self.bubbles)
+        if (values.shape != (n + 1,) + modes
+                or slopes.shape != (n + 1,) + modes
+                or bubbles.shape != (n, self.p - 3) + modes):
             raise DimensionMismatch("coefficient arrays do not match the mesh")
+        v = values.reshape(n + 1, -1).T                     # (mode, node)
+        s = slopes.reshape(n + 1, -1).T
+        b = bubbles.reshape(n, self.p - 3, len(v)).transpose(2, 0, 1)
+        # a C-ordered (mode, element, coefficient) table, so each mode's
+        # product is the same BLAS call as a single function's
+        table = np.concatenate([np.stack([v[:, :-1], h * s[:, :-1], v[:, 1:],
+                                          h * s[:, 1:]], axis=2), b],
+                               axis=2) @ _basis_coeffs(self.p)
+        table = np.moveaxis(table, 0, 2) if modes else table[0]
+        for name, arr in (("node_values", values), ("node_slopes", slopes),
+                          ("bubbles", bubbles), ("_table", table)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_dof_vector(cls, mesh: Mesh, dofmap: DofMap,
@@ -270,25 +328,12 @@ class FEFunction:
         mode axis adds it last, giving (point, order, mode), each mode
         equal bit for bit to a single-mode function's call.  Every
         (order, mode) column is contiguous.  With element given, x holds
-        local coordinates in [0, 1] on those elements.  The per-element
-        power coefficients are rebuilt on every call, so edits to the
-        coefficient arrays show.  At the last node the value and slope are
-        the stored end data exactly, not a rounded sum of the last
-        element's coefficients at t = 1; other nodes sit at t = 0.
+        local coordinates in [0, 1] on those elements.  At the last node
+        the value and slope are the stored end data exactly, not a rounded
+        sum of the last element's coefficients at t = 1; other nodes sit
+        at t = 0.
         """
-        h = self.mesh.widths
-        n = len(h)
-        v = self.node_values.reshape(n + 1, -1).T           # (mode, node)
-        s = self.node_slopes.reshape(n + 1, -1).T
-        b = self.bubbles.reshape(n, self.p - 3, len(v)).transpose(2, 0, 1)
-        # a C-ordered (mode, element, coefficient) table, so each mode's
-        # product is the same BLAS call as a single function's
-        table = np.concatenate([np.stack([v[:, :-1], h * s[:, :-1], v[:, 1:],
-                                          h * s[:, 1:]], axis=2), b],
-                               axis=2) @ _basis_coeffs(self.p)
-        coeffs = np.moveaxis(table, 0, 2) if self.node_values.ndim > 1 \
-            else table[0]
-        out = piecewise_eval(self.mesh.nodes, coeffs, x, deriv,
+        out = piecewise_eval(self.mesh.nodes, self._table, x, deriv,
                              piece=element)
         if element is None:
             at_end = np.atleast_1d(x) == self.mesh.nodes[-1]

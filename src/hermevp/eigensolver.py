@@ -70,15 +70,13 @@ class Spectrum:
         ||K u - lambda M u|| / ((||K||_inf + |lambda| ||M||_inf) ||u||)
     per mode.  clustered flags eigenvalues whose neighbor gap is below
     CLUSTER_RTOL relatively; those eigenVECTORS are only defined up to
-    rotation within the cluster.  ortho_error is max |U^T M U - I|.
-    iterations is the number of applications of C = R^{-T} M R^{-1} that
-    Lanczos took.
+    rotation within the cluster.  iterations is the number of
+    applications of C = R^{-T} M R^{-1} that Lanczos took.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
-    ortho_error: float
     clustered: np.ndarray
     iterations: int = 0
 
@@ -96,20 +94,21 @@ def _factor_spd_band(band: np.ndarray, what: str) -> np.ndarray:
 
 
 def residual_norms(K: SymBandMatrix, M: SymBandMatrix, lams: np.ndarray,
-                   vecs: np.ndarray, m_vecs: np.ndarray = None) -> np.ndarray:
-    """Backward-error residuals, one per column of vecs; m_vecs, when
-    given, holds M times those columns."""
+                   vecs: np.ndarray) -> np.ndarray:
+    """Backward-error residuals, one per column of vecs.  A residual that
+    overflows reads inf or nan, without a warning, for the caller to
+    refuse."""
     nk = K.norm_inf()
     nm = M.norm_inf()
     out = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        u = vecs[:, i]
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            raise ZeroVector(f"eigenvector {i} is zero")
-        m_u = M.matvec(u) if m_vecs is None else m_vecs[:, i]
-        r = K.matvec(u) - lam * m_u
-        out[i] = np.linalg.norm(r) / ((nk + abs(lam) * nm) * nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, lam in enumerate(lams):
+            u = vecs[:, i]
+            nu = np.linalg.norm(u)
+            if nu == 0.0:
+                raise ZeroVector(f"eigenvector {i} is zero")
+            r = K.matvec(u) - lam * M.matvec(u)
+            out[i] = np.linalg.norm(r) / ((nk + abs(lam) * nm) * nu)
     return out
 
 
@@ -181,20 +180,17 @@ def solve_smallest(K: SymBandMatrix, M: SymBandMatrix,
             f"converged)"
         ) from exc
     lams, vecs = _reduced_pairs(rband, mu, y, config.k)
-    m_vecs = np.stack([M.matvec(u) for u in vecs.T], axis=1)
-    res = residual_norms(K, M, lams, vecs, m_vecs)
+    res = residual_norms(K, M, lams, vecs)
     headroom = 1e2 * config.tol
-    if np.any(res > headroom):
+    if not np.all(res <= headroom):               # nan fails as well
         raise NoConvergence(
-            f"residual {float(res.max())} exceeds {headroom} "
+            f"residual {float(np.max(res))} exceeds {headroom} "
             f"(100x the configured tolerance)"
         )
     return Spectrum(
         eigenvalues=lams,
         eigenvectors=vecs,
         residuals=res,
-        ortho_error=float(np.abs(vecs.T @ m_vecs
-                                 - np.eye(vecs.shape[1])).max()),
         clustered=_cluster_flags(lams),
         iterations=applications,
     )

@@ -163,11 +163,15 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
     [0, 1]; points outside use the end pieces.  With piece given, x holds
     local coordinates on those pieces and nothing is located, so t keeps
     full precision on pieces narrower than the spacing of doubles near them.
-    Each order is one Horner pass over table rows gathered per point, each
-    gathered row scaled by the derivative's falling factorial and the sum
-    multiplied by 1/h d times.  An int deriv gives a 1-D array; a tuple gives
-    shape (len(x), len(deriv)), each column equal bit for bit to the
-    single-order call.  Orders above the degree give zeros.
+    One pass walks the coefficient rows from the top down to the lowest
+    order asked for, gathering each row once per point.  Every order d
+    takes its Horner step from that row, scaled in place by k, k-1, ...
+    as the orders rise, so the t^k row carries d's falling factorial
+    k (k-1) ... (k-d+1); each order's sum is then multiplied by 1/h d
+    times.  That is the multiplication sequence of a Horner pass per
+    order, so every column is the same.  An int deriv gives a 1-D array;
+    a tuple gives shape (len(x), len(deriv)), each column equal bit for
+    bit to the single-order call.  Orders above the degree give zeros.
 
     coeffs of shape (pieces, coefficients, modes) hold several functions
     on the same breaks, and the result gains a trailing mode axis, each
@@ -194,18 +198,28 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
     table = coeffs.reshape(n_pieces, n_coef, -1).transpose(1, 2, 0)
     out = np.empty((len(orders), table.shape[1], len(t)))
     row = np.empty(out.shape[1:])
-    for block, d in zip(out, orders):
-        if d >= n_coef:
-            block[:] = 0.0
-            continue
-        for k in range(n_coef - 1, d - 1, -1):
-            gathered = block if k == n_coef - 1 else row
-            np.take(table[k], g, axis=1, out=gathered, mode="clip")
-            for i in range(d):   # k (k-1) ... (k-d+1) on the t^k row
-                gathered *= k - i
-            if gathered is row:
+    live = []                                # (order, its block), rising
+    for d, j in sorted((d, j) for j, d in enumerate(orders)):
+        if d < n_coef:
+            live.append((d, out[j]))
+        else:
+            out[j] = 0.0
+    lowest = live[0][0] if live else n_coef
+    for k in range(n_coef - 1, lowest - 1, -1):
+        np.take(table[k], g, axis=1, out=row, mode="clip")
+        scaled = 0
+        for d, block in live:
+            if d > k:
+                break
+            for i in range(scaled, d):  # k (k-1) ... (k-d+1) on the t^k row
+                row *= k - i
+            scaled = d
+            if k == n_coef - 1:
+                block[:] = row
+            else:
                 block *= t
                 block += row
+    for d, block in live:
         for _ in range(d):
             block *= inv_h
     out = out.transpose(2, 0, 1)             # a view: (point, order, mode)

@@ -258,10 +258,13 @@ class TestCriterion7OracleEquivalence:
         p, h, eps = 3, 0.5, 0.7
         shapes = shape_table(p)
         nq = shapes.rule.n_points
+        every_pair = np.indices((p + 1, p + 1)).reshape(2, -1)
         k_el, m_el = element_matrices(np.array([h]), shapes, epsilon=eps,
                                       a_vals=np.ones((1, nq)),
-                                      b_vals=np.ones((1, nq)))
-        k_loc, m_loc = k_el[0], m_el[0]
+                                      b_vals=np.ones((1, nq)),
+                                      pairs=every_pair)
+        k_loc = k_el[0].reshape(p + 1, p + 1)
+        m_loc = m_el[0].reshape(p + 1, p + 1)
         d = np.array([1.0, h, 1.0, h])
         scale = np.outer(d, d)
         k_exact = (eps**2 / h**3 * symbolic_element_matrices(p, 2)

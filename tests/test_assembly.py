@@ -38,13 +38,19 @@ def symbolic_element_matrices(p, deriv):
     return mat
 
 
+def every_pair(p):
+    """All (p+1)^2 local (row, column) pairs, row-major."""
+    return np.indices((p + 1, p + 1)).reshape(2, -1)
+
+
 def one_element(h, shapes, epsilon, a, b):
-    """element_matrices of one element of width h with constant a and b,
-    as a batch of one."""
+    """The full local matrices of one element of width h with constant a
+    and b: element_matrices over every pair, as a batch of one."""
+    p = shapes.p
     row = np.ones((1, shapes.rule.n_points))
     k_el, m_el = element_matrices(np.array([h]), shapes, epsilon, a * row,
-                                  b * row)
-    return k_el[0], m_el[0]
+                                  b * row, every_pair(p))
+    return k_el[0].reshape(p + 1, p + 1), m_el[0].reshape(p + 1, p + 1)
 
 
 class TestElementMatricesAgainstExactIntegrals:
@@ -92,13 +98,33 @@ class TestBatchedElementMatrices:
         h = rng.uniform(1e-6, 0.5, size=7)
         a = rng.uniform(1.0, 3.0, size=(7, shapes.rule.n_points))
         b = rng.uniform(0.0, 2.0, size=(7, shapes.rule.n_points))
-        k_el, m_el = element_matrices(h, shapes, 1e-3, a, b)
-        assert k_el.shape == m_el.shape == (7, p + 1, p + 1)
+        kept = build_dof_map(7, p).pairs
+        k_el, m_el = element_matrices(h, shapes, 1e-3, a, b, kept)
+        assert k_el.shape == m_el.shape == (7, (p + 1) * (p + 2) // 2)
         # each element alone, as a batch of one
-        pairs = [element_matrices(h[e:e + 1], shapes, 1e-3, a[e:e + 1],
-                                  b[e:e + 1]) for e in range(7)]
-        assert np.array_equal(k_el, np.concatenate([k for k, _ in pairs]))
-        assert np.array_equal(m_el, np.concatenate([m for _, m in pairs]))
+        singles = [element_matrices(h[e:e + 1], shapes, 1e-3, a[e:e + 1],
+                                    b[e:e + 1], kept) for e in range(7)]
+        assert np.array_equal(k_el, np.concatenate([k for k, _ in singles]))
+        assert np.array_equal(m_el, np.concatenate([m for _, m in singles]))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_kept_pairs_equal_full_matrix_entries(self, p):
+        # the band's triangle is a selection of the full local matrices,
+        # bit for bit; the mirrored entries need not be, which is why the
+        # pairs keep the band's orientation
+        shapes = shape_table(p)
+        rng = np.random.default_rng(10 + p)
+        h = rng.uniform(1e-6, 0.5, size=5)
+        a = rng.uniform(1.0, 3.0, size=(5, shapes.rule.n_points))
+        b = rng.uniform(0.0, 2.0, size=(5, shapes.rule.n_points))
+        i, j = kept = build_dof_map(5, p).pairs
+        k_full, m_full = element_matrices(h, shapes, 1e-3, a, b,
+                                          every_pair(p))
+        k_el, m_el = element_matrices(h, shapes, 1e-3, a, b, kept)
+        k_full = k_full.reshape(5, p + 1, p + 1)
+        m_full = m_full.reshape(5, p + 1, p + 1)
+        assert np.array_equal(k_el, k_full[:, i, j])
+        assert np.array_equal(m_el, m_full[:, i, j])
 
 
 class TestDofMap:
@@ -121,6 +147,22 @@ class TestDofMap:
         free = dm.element_dofs[dm.element_dofs >= 0]
         assert set(free.tolist()) == set(range(dm.n_free))
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 8])
+    def test_pairs_are_the_band_triangle(self, p):
+        # on every element the pairs hit each free (row <= column) entry
+        # of the local matrix once, in row-major order
+        dm = build_dof_map(6, p)
+        i, j = dm.pairs
+        assert len(i) == (p + 1) * (p + 2) // 2
+        assert np.all(np.diff(i * (p + 1) + j) > 0)
+        for dofs in dm.element_dofs:
+            free = np.nonzero(dofs >= 0)[0]
+            upper = {(a, b) for a in free for b in free
+                     if dofs[a] <= dofs[b]}
+            kept = {(a, b) for a, b in zip(i, j)
+                    if dofs[a] >= 0 and dofs[b] >= 0}
+            assert kept == upper
+
     @pytest.mark.parametrize("n,p", [(8, 3), (8, 4), (16, 5), (6, 6)])
     def test_free_count_formula(self, n, p):
         dm = build_dof_map(n, p)
@@ -133,8 +175,12 @@ class TestDofMap:
 
 
 def scatter_one(A, idx, local):
-    """Scatter one element's local matrix as a batch of one."""
-    A.scatter(A.band_index(np.array([idx])), np.array([local]))
+    """Scatter one element's dense local matrix as a batch of one, through
+    its upper triangle's pairs (idx ascending over its free entries)."""
+    local = np.asarray(local)
+    pairs = np.array(np.triu_indices(len(local)))
+    A.scatter(A.band_index(np.array([idx]), pairs),
+              local[pairs[0], pairs[1]][None])
 
 
 class TestSymBandMatrix:
@@ -162,12 +208,20 @@ class TestSymBandMatrix:
         dm = build_dof_map(6, 5)
         local = rng.standard_normal((6, 6, 6))
         local = local + local.transpose(0, 2, 1)
+        i, j = dm.pairs
         batched = SymBandMatrix(dm.n_free, dm.bandwidth)
-        batched.scatter(batched.band_index(dm.element_dofs), local)
+        batched.scatter(batched.band_index(dm.element_dofs, dm.pairs),
+                        local[:, i, j])
         single = SymBandMatrix(dm.n_free, dm.bandwidth)
         for e in range(6):
-            scatter_one(single, dm.element_dofs[e], local[e])
+            single.scatter(single.band_index(dm.element_dofs[e:e + 1],
+                                             dm.pairs), local[e:e + 1, i, j])
         assert np.array_equal(batched.band, single.band)
+        dense = np.zeros((dm.n_free, dm.n_free))
+        for dofs, loc in zip(dm.element_dofs, local):
+            free = dofs >= 0
+            dense[np.ix_(dofs[free], dofs[free])] += loc[np.ix_(free, free)]
+        assert np.allclose(to_dense(batched), dense, rtol=0, atol=1e-13)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
@@ -340,6 +394,27 @@ class TestFEFunction:
         with pytest.raises(DimensionMismatch):
             FEFunction(mesh=mesh, p=3, node_values=np.zeros(3),
                        node_slopes=np.zeros(5))
+
+    @pytest.mark.parametrize("name", ["node_values", "node_slopes",
+                                      "bubbles"])
+    def test_coefficient_arrays_are_read_only(self, name):
+        # the power table is built once, so an edit could not show: an
+        # array the function takes over is frozen whoever holds it, and a
+        # view is copied, so an edit of its base leaves the function be
+        mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=5,
+                                   n_elements=4, kind="uniform"))
+        given = {"node_values": np.zeros(5), "node_slopes": np.zeros(5),
+                 "bubbles": np.zeros((4, 2))}
+        u = FEFunction(mesh=mesh, p=5, **given)
+        for arr in (getattr(u, name), given[name]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 1.0
+        base = np.zeros((2,) + given[name].shape)
+        v = FEFunction(mesh=mesh, p=5, **{**given, name: base[0]})
+        base[0, 1] = 1.0
+        assert not getattr(v, name).flags.writeable
+        assert np.all(getattr(v, name) == 0.0)
+        assert np.all(v(np.linspace(0.0, 1.0, 9)) == 0.0)
 
     def test_quintic_bubbles_participate(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=5,

@@ -119,6 +119,31 @@ class TestExitCodes:
         assert err.startswith("error: CoefficientViolation")
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_stiffness_refused(self, tmp_path, capsys):
+        # a = 1e308 is finite at every sample, but K overflows to inf;
+        # pytest's configuration turns any RuntimeWarning into an error
+        rc, _, err = run(capsys, "solve", "--p", "3", "--n", "16",
+                         "--modes", "2", "--preset", "custom",
+                         "--a-expr", "1e308", "--b-expr", "0",
+                         "--out", str(tmp_path))
+        assert rc == 8
+        assert err.startswith("error: CoefficientViolation: the stiffness "
+                              "matrix K overflows")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
+    def test_nan_residual_refused(self, tmp_path, capsys):
+        # b = 1e308 gives lambda near 1e308, whose residual overflows to
+        # nan; nan must not pass the 100x tol gate
+        rc, _, err = run(capsys, "solve", "--p", "3", "--n", "16",
+                         "--modes", "2", "--preset", "custom",
+                         "--a-expr", "1", "--b-expr", "1e308",
+                         "--out", str(tmp_path))
+        assert rc == 4
+        assert err.startswith("error: NoConvergence: residual nan exceeds")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
     def test_modes_beyond_rounding(self, tmp_path, capsys):
         rc, _, err = run(capsys, "solve", "--p", "5", "--n", "8",
                          "--epsilon", "1e-8", "--modes", "30",
