@@ -1,18 +1,18 @@
 """Fourth-order singularly perturbed eigenvalue problems in 1D, solved with
 C1 Hermite finite elements on layer-adapted meshes.
 
-The pieces compose in dependency order: build a Mesh from a MeshSpec,
-tabulate shapes with shape_table, assemble (K, M) with a CoefficientSet,
-solve the pencil with solve_smallest, and measure errors and rates with
-the analysis helpers.
+solve(spec, coeffs, config) runs the whole chain on a MeshSpec and a
+CoefficientSet: build_mesh, assemble and solve_smallest, returning a
+Solution with the eigenpairs and every mode as one FEFunction.  The
+analysis helpers measure errors and rates.
 """
 
-from .analysis import (InterpRecord, InterpReport, ReferenceSolution,
-                       SlopeFit, StudyRecord, StudyReport, align_sign,
+from .analysis import (InterpRecord, InterpReport, SlopeFit, Solution,
+                       StudyRecord, StudyReport, align_sign,
                        compute_reference, convergence_study,
                        default_reference_n, discrete_max_error,
                        energy_norm_error, fit_slope, interp_rate_study,
-                       sample_points)
+                       sample_points, solve)
 from .assembly import (CoefficientSet, DofMap, FEFunction, SymBandMatrix,
                        assemble, build_dof_map, element_matrices)
 from .eigensolver import (SolverConfig, Spectrum, residual_norms,
@@ -38,14 +38,14 @@ __all__ = [
     "InvalidLayerWidth", "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
     "MeshSpec", "NoConvergence", "NonpositiveError",
     "NotPositiveDefinite", "PiecewiseFunction", "QuadRule",
-    "ReferenceSolution", "Region", "RegionOverlap", "ShapeTable",
-    "SlopeFit", "SolverConfig", "Spectrum", "StudyRecord", "StudyReport",
-    "SymBandMatrix", "TooFewPoints", "WrongMeshKind", "ZeroVector",
-    "align_sign", "assemble", "build_dof_map",
+    "Region", "RegionOverlap", "ShapeTable",
+    "SlopeFit", "Solution", "SolverConfig", "Spectrum", "StudyRecord",
+    "StudyReport", "SymBandMatrix", "TooFewPoints", "WrongMeshKind",
+    "ZeroVector", "align_sign", "assemble", "build_dof_map",
     "build_mesh", "check_mesh_bounds", "compute_reference",
     "convergence_study", "default_reference_n", "discrete_max_error",
     "element_matrices", "energy_norm_error", "eval_layer_function",
     "fit_slope", "gauss_rule", "hermite_basis", "hermite_interpolant",
     "interp_rate_study", "residual_norms", "sample_points",
-    "shape_table", "solve_smallest",
+    "shape_table", "solve", "solve_smallest",
 ]

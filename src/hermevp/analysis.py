@@ -1,5 +1,5 @@
-"""Error measurement, interpolation and eigenvalue convergence studies,
-and log-log rate fitting.
+"""The discretize-and-solve pipeline, error measurement, interpolation
+and eigenvalue convergence studies, and log-log rate fitting.
 
 Errors against a reference are reported in percent.  Max-norm errors are
 relative to the sup of the reference over the sample set; the energy error
@@ -15,15 +15,15 @@ exact to degree 2p+1, integrates it without error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import CoefficientSet, FEFunction, assemble
+from .assembly import CoefficientSet, DofMap, FEFunction, assemble
 from .eigensolver import SolverConfig, Spectrum, solve_smallest
 from .element import (HermiteData, eval_layer_function, gauss_rule,
-                      hermite_interpolant, shape_table)
+                      hermite_interpolant)
 from .errors import (AmbiguousSign, AssumptionViolated, DimensionMismatch,
                      InvalidLayerWidth, InvalidSpec, NonpositiveError,
                      TooFewPoints, ZeroVector)
@@ -55,10 +55,10 @@ def align_sign(u_samples: np.ndarray, ref_samples: np.ndarray) -> float:
     return 1.0 if ip > 0.0 else -1.0
 
 
-def energy_norm_error(u_h: FEFunction, u_ref: FEFunction,
-                      epsilon: float, n_gauss: int = None):
-    """Percent error |||u_h - u_ref||| / |||u_ref||| * 100, integrated with
-    Gauss quadrature on the union of the two meshes.
+def energy_norm_error(u_h: FEFunction, u_ref: FEFunction, n_gauss: int = None):
+    """Percent error |||u_h - u_ref||| / |||u_ref||| * 100, with the eps of
+    u_ref's mesh spec, integrated with Gauss quadrature on the union of
+    the two meshes.
 
     The default rule has max(p_h, p_ref) + 1 points per interval: both
     functions are polynomials of degree <= p there, the integrands have
@@ -93,7 +93,7 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction,
     for m in range(dh.shape[2]):
         err_sq = 0.0
         ref_sq = 0.0
-        for j, factor in enumerate((1.0, 1.0, epsilon**2)):
+        for j, factor in enumerate((1.0, 1.0, u_ref.mesh.spec.epsilon**2)):
             err_sq += factor * float(w @ (dh[:, j, m] - dr[:, j, m]) ** 2)
             ref_sq += factor * float(w @ dr[:, j, m]**2)
         if ref_sq <= 0.0:
@@ -277,30 +277,35 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
 
 
 @dataclass(frozen=True)
-class ReferenceSolution:
-    """Fine-mesh solve used as ground truth for a convergence ladder."""
+class Solution:
+    """What solve returns; function holds every mode, along its last axis."""
 
     mesh: Mesh
+    dofmap: DofMap
     spectrum: Spectrum
-    function: FEFunction    # every mode, along its trailing axis
+    function: FEFunction
+
+
+def solve(spec: MeshSpec, coeffs: CoefficientSet,
+          config: SolverConfig) -> Solution:
+    """The paper's chain on one mesh: build it, assemble the degree
+    spec.p pencil, and solve for its config.k smallest eigenpairs."""
+    mesh = build_mesh(spec)
+    K, M, dofmap = assemble(mesh, coeffs)
+    spectrum = solve_smallest(K, M, config)
+    return Solution(mesh=mesh, dofmap=dofmap, spectrum=spectrum,
+                    function=FEFunction.from_dof_vector(
+                        mesh, dofmap, spectrum.eigenvectors))
 
 
 def default_reference_n(n_values: Sequence[int]) -> int:
     return max(512, 8 * max(n_values))
 
 
-def compute_reference(kind, epsilon: float, beta: float, p: int, n_ref: int,
-                      coeffs: CoefficientSet, modes: int,
-                      tol: float = 1e-11) -> ReferenceSolution:
-    spec = MeshSpec(epsilon=epsilon, beta=beta, p=p, n_elements=n_ref,
-                    kind=MeshKind(kind))
-    mesh = build_mesh(spec)
-    K, M, dofmap = assemble(mesh, shape_table(p), coeffs)
-    spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
-    return ReferenceSolution(
-        mesh=mesh, spectrum=spectrum,
-        function=FEFunction.from_dof_vector(mesh, dofmap,
-                                            spectrum.eigenvectors))
+def compute_reference(spec: MeshSpec, coeffs: CoefficientSet,
+                      config: SolverConfig) -> Solution:
+    """The fine-mesh solve a convergence ladder is measured against."""
+    return solve(spec, coeffs, config)
 
 
 @dataclass(frozen=True)
@@ -361,53 +366,44 @@ class StudyReport:
         return out
 
 
-def convergence_study(kind, epsilon: float, beta: float, p: int,
-                      n_values: Sequence[int], coeffs: CoefficientSet,
-                      modes: int = 1, reference: ReferenceSolution = None,
-                      ref_n: int = None, tol: float = 1e-11,
+def convergence_study(ref_spec: MeshSpec, n_values: Sequence[int],
+                      coeffs: CoefficientSet, config: SolverConfig,
                       per_region: int = 1000,
                       on_record: Callable = None) -> StudyReport:
-    """Solve the eigenproblem on a ladder of meshes, compare each mode to a
-    fine-mesh reference of the same kind, and tabulate the errors.
+    """Solve the eigenproblem on ref_spec with each size of n_values,
+    compare each mode to the solve on ref_spec itself, the reference, and
+    tabulate the errors.
 
     on_record, when given, receives each StudyRecord as soon as it exists,
     so callers can flush partial results even if a later grid point fails.
     """
-    kind = MeshKind(kind)
     n_values = sorted(int(n) for n in n_values)
-    if reference is None:
-        if ref_n is None:
-            ref_n = default_reference_n(n_values)
-        reference = compute_reference(kind, epsilon, beta, p, ref_n, coeffs,
-                                      modes, tol=tol)
+    reference = compute_reference(ref_spec, coeffs, config)
     lam_ref = reference.spectrum.eigenvalues
-    shapes = shape_table(p)
+    modes, epsilon = config.k, ref_spec.epsilon
 
     records = []
     for n in n_values:
-        mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
-                                   n_elements=n, kind=kind))
-        K, M, dofmap = assemble(mesh, shapes, coeffs)
-        spectrum = solve_smallest(K, M, SolverConfig(k=modes, tol=tol))
-        pts = sample_points(mesh, per_region)
+        rung = solve(replace(ref_spec, n_elements=n), coeffs, config)
+        pts = sample_points(rung.mesh, per_region)
         # every mode in one located pass: columns (u, u') per mode;
         # flipping the samples' sign is exact
-        vecs = spectrum.eigenvectors
-        dh = FEFunction.from_dof_vector(mesh, dofmap, vecs)(pts, (0, 1))
+        dh = rung.function(pts, (0, 1))
         dr = reference.function(pts, (0, 1))
         signs = np.array([align_sign(dh[:, 0, m], dr[:, 0, m])
                           for m in range(modes)])
         dh *= signs
-        u_h = FEFunction.from_dof_vector(mesh, dofmap, signs * vecs)
-        energy = energy_norm_error(u_h, reference.function, epsilon)
+        u_h = FEFunction.from_dof_vector(rung.mesh, rung.dofmap,
+                                         signs * rung.spectrum.eigenvectors)
+        energy = energy_norm_error(u_h, reference.function)
         for m in range(modes):
-            lam = float(spectrum.eigenvalues[m])
+            lam = float(rung.spectrum.eigenvalues[m])
             record = StudyRecord(
-                mesh_kind=kind.value,
+                mesh_kind=ref_spec.kind.value,
                 epsilon=epsilon,
-                p=p,
+                p=ref_spec.p,
                 N=n,
-                dof=dofmap.n_free,
+                dof=rung.dofmap.n_free,
                 mode=m + 1,
                 lambda_h=lam,
                 lambda_err_pct=100.0 * abs(lam - lam_ref[m]) / abs(lam_ref[m]),

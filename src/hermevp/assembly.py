@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import blas as sblas
 
-from .element import ShapeTable, _basis_coeffs, piecewise_eval
+from .element import (ShapeTable, _basis_coeffs, piecewise_eval,
+                      shape_table)
 from .errors import CoefficientViolation, DimensionMismatch, InvalidSpec
 from .mesh import Mesh
 
@@ -40,12 +41,9 @@ class CoefficientSet:
 
     a: Callable
     b: Callable
-    epsilon: float
     a_floor: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise InvalidSpec(f"epsilon must be positive, got {self.epsilon}")
         if self.a_floor <= 0.0:
             raise InvalidSpec(f"a_floor must be positive, got {self.a_floor}")
 
@@ -190,17 +188,15 @@ def element_matrices(h, shapes: ShapeTable, epsilon: float,
     return k_loc, m_loc
 
 
-def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
-    """Assemble (K, M, dofmap) over the mesh.
+def assemble(mesh: Mesh, coeffs: CoefficientSet):
+    """Assemble (K, M, dofmap) over the mesh, with the degree p and the
+    eps of the eps^2 term both read from mesh.spec.
 
     Coefficients are sampled at the mapped quadrature points of every
     element; a(x) must stay at or above a_floor and b(x) must be
     non-negative at each sample.
     """
-    if shapes.p != mesh.spec.p:
-        raise InvalidSpec(
-            f"shape degree {shapes.p} disagrees with mesh spec degree {mesh.spec.p}"
-        )
+    shapes = shape_table(mesh.spec.p)
     nodes, widths = mesh.nodes, mesh.widths
     x = nodes[:-1, None] + widths[:, None] * shapes.rule.points[None, :]
     a_at = np.broadcast_to(np.asarray(coeffs.a(x), dtype=float), x.shape)
@@ -229,8 +225,8 @@ def assemble(mesh: Mesh, shapes: ShapeTable, coeffs: CoefficientSet):
     index = K.band_index(dofmap.element_dofs, dofmap.pairs)  # M's as well
     # finite samples can still overflow the products; refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        k_el, m_el = element_matrices(widths, shapes, coeffs.epsilon, a_at,
-                                      b_at, dofmap.pairs)
+        k_el, m_el = element_matrices(widths, shapes, mesh.spec.epsilon,
+                                      a_at, b_at, dofmap.pairs)
         K.scatter(index, k_el)
         M.scatter(index, m_el)
     for name, A in (("stiffness matrix K", K), ("mass matrix M", M)):

@@ -26,16 +26,18 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 
-from .analysis import StudyRecord, convergence_study, interp_rate_study
-from .assembly import CoefficientSet, FEFunction, assemble
+from .analysis import (StudyRecord, convergence_study, default_reference_n,
+                       interp_rate_study, solve)
+from .assembly import CoefficientSet, build_dof_map
 from .csvout import CsvWriter, float_fields, write_columns, write_csv
-from .eigensolver import SolverConfig, solve_smallest
-from .element import shape_table
-from .errors import CoefficientViolation, HermevpError, InvalidSpec
+from .eigensolver import SolverConfig
+from .errors import (CoefficientViolation, HermevpError, InvalidSpec,
+                     KTooLarge)
 from .mesh import MeshKind, MeshSpec, build_mesh, check_mesh_bounds
 
 _SAFE_NAMES = {
@@ -95,8 +97,8 @@ def make_expr_function(expr: str):
     return fn
 
 
-def resolve_coefficients(preset: str, a_expr: str, b_expr: str,
-                         epsilon: float) -> CoefficientSet:
+def resolve_coefficients(preset: str, a_expr: str,
+                         b_expr: str) -> CoefficientSet:
     if preset == "custom":
         if not a_expr or not b_expr:
             raise InvalidSpec("preset 'custom' needs both --a-expr and --b-expr")
@@ -126,8 +128,7 @@ def resolve_coefficients(preset: str, a_expr: str, b_expr: str,
         raise CoefficientViolation(
             f"a(x) = {a_expr!r} reaches {a_min} on [0, 1], need a > 0"
         )
-    return CoefficientSet(a=a, b=b, epsilon=epsilon,
-                          a_floor=a_min * (1.0 - 1e-9))
+    return CoefficientSet(a=a, b=b, a_floor=a_min * (1.0 - 1e-9))
 
 
 def read_config_file(path: str) -> dict:
@@ -197,13 +198,11 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     are rendered per call; each mode's u and u' are rendered in one
     float_fields pass as its file is written."""
     modes, out = ns.modes, ns.out
-    coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, ns.epsilon)
+    coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr)
     solver = SolverConfig(k=modes, tol=ns.tol)
-
-    mesh = build_mesh(MeshSpec(epsilon=ns.epsilon, beta=ns.beta, p=ns.p,
-                               n_elements=ns.n, kind=ns.mesh))
-    K, M, dofmap = assemble(mesh, shape_table(ns.p), coeffs)
-    spectrum = solve_smallest(K, M, solver)
+    sol = solve(MeshSpec(epsilon=ns.epsilon, beta=ns.beta, p=ns.p,
+                         n_elements=ns.n, kind=ns.mesh), coeffs, solver)
+    mesh, spectrum = sol.mesh, sol.spectrum
 
     rows = [(m + 1, spectrum.eigenvalues[m], spectrum.residuals[m])
             for m in range(modes)]
@@ -216,8 +215,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     xs, first = np.unique(np.concatenate([grid, mesh.nodes]),
                           return_index=True)
     x_fields = np.concatenate([grid_fields, float_fields(mesh.nodes)])[first]
-    u_du = FEFunction.from_dof_vector(mesh, dofmap, spectrum.eigenvectors)(
-        xs, (0, 1))
+    u_du = sol.function(xs, (0, 1))
     for m in range(modes):
         u, du = float_fields(u_du[:, :, m].T).reshape(2, -1)
         write_columns(os.path.join(out, f"mode_{m + 1}.csv"),
@@ -225,7 +223,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
                       (x_fields, u, du))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
-          f"dof={dofmap.n_free}")
+          f"dof={sol.dofmap.n_free}")
     for m in range(modes):
         flag = " (clustered)" if spectrum.clustered[m] else ""
         print(f"  lambda_{m + 1} = {spectrum.eigenvalues[m]:.12g}"
@@ -238,20 +236,34 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
     n_values = ns.n
     if len(n_values) < 3:
         raise InvalidSpec(f"need at least 3 mesh sizes, got {n_values}")
-    # every mesh and solver spec the studies build is checked before the
-    # first CSV is opened, so a refused value leaves no partial file
+    ref_n = default_reference_n(n_values) if ns.ref_n is None else ns.ref_n
+    # every file name, mesh, mode count and solver spec is checked before
+    # the first CSV is opened, so a refused value leaves no partial file; a
+    # study that fails once it runs leaves one, ending in a # FAILED line
+    solver = SolverConfig(k=ns.modes, tol=ns.tol)
+    specs = {}
     for eps in ns.epsilon:
-        for n in n_values + ([] if ns.ref_n is None else [ns.ref_n]):
-            MeshSpec(epsilon=eps, beta=ns.beta, p=ns.p, n_elements=n,
-                     kind=ns.mesh)
-    SolverConfig(k=ns.modes, tol=ns.tol)
-    if ns.ref_n is not None and ns.ref_n <= n_values[-1]:
-        raise InvalidSpec(f"reference size --ref-n {ns.ref_n} must exceed "
+        stem = f"study_eps{eps:g}"
+        if stem in specs:
+            raise InvalidSpec(f"--epsilon values {specs[stem].epsilon!r} and "
+                              f"{eps!r} would both write {stem}.csv")
+        specs[stem] = MeshSpec(epsilon=eps, beta=ns.beta, p=ns.p,
+                               n_elements=ref_n, kind=ns.mesh)
+        for n in (ref_n, *n_values):    # raises on collapsing nodes too
+            build_mesh(replace(specs[stem], n_elements=n))
+    if ref_n <= n_values[-1]:
+        raise InvalidSpec(f"reference size --ref-n {ref_n} must exceed "
                           f"the largest mesh size {n_values[-1]}")
+    n_free = build_dof_map(n_values[0], ns.p).n_free
+    if ns.modes >= n_free:
+        raise KTooLarge(f"asked for {ns.modes} modes, but the mesh with "
+                        f"N={n_values[0]} has {n_free} dofs, of which "
+                        f"ARPACK returns at most n - 1 = {n_free - 1}")
+    coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr)
 
-    for eps in ns.epsilon:
-        coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr, eps)
-        stem = os.path.join(ns.out, f"study_eps{eps:g}")
+    for name, spec in specs.items():
+        eps = spec.epsilon
+        stem = os.path.join(ns.out, name)
         csv_path = stem + ".csv"
         with open(csv_path, "w", newline="") as fh:
             writer = CsvWriter(fh, CSV_COLUMNS, CSV_KINDS)
@@ -261,9 +273,7 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
                 fh.flush()
 
             try:
-                report = convergence_study(ns.mesh, eps, ns.beta, ns.p,
-                                           n_values, coeffs, modes=ns.modes,
-                                           ref_n=ns.ref_n, tol=ns.tol,
+                report = convergence_study(spec, n_values, coeffs, solver,
                                            on_record=flush)
             except HermevpError as exc:
                 fh.write(f"# FAILED: {exc}\n")
@@ -314,18 +324,15 @@ def cmd_interp_study(ns: argparse.Namespace) -> int:
 
 def cmd_table1(ns: argparse.Namespace) -> int:
     epsilon, p, modes = 1e-6, 3, 5
-    coeffs = resolve_coefficients("expx", None, None, epsilon)
-    shapes = shape_table(p)
+    coeffs = resolve_coefficients("expx", None, None)
 
     lambdas = np.empty((modes, len(TABLE_N_LADDER)))
     dofs = []
     for j, n in enumerate(TABLE_N_LADDER):
-        mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
-                                   n_elements=n, kind=MeshKind.EXP))
-        K, M, dofmap = assemble(mesh, shapes, coeffs)
-        spectrum = solve_smallest(K, M, SolverConfig(k=modes))
-        lambdas[:, j] = spectrum.eigenvalues[:modes]
-        dofs.append(dofmap.n_free)
+        sol = solve(MeshSpec(epsilon=epsilon, beta=1.0, p=p, n_elements=n,
+                             kind=MeshKind.EXP), coeffs, SolverConfig(k=modes))
+        lambdas[:, j] = sol.spectrum.eigenvalues[:modes]
+        dofs.append(sol.dofmap.n_free)
 
     width = 11
     print(f"five lowest modes, a=e^x, b=x, epsilon={epsilon:g}, p={p}, "

@@ -12,6 +12,7 @@ from scipy.linalg import eigh
 
 from hermevp.assembly import build_dof_map
 from hermevp.eigensolver import _factor_spd_band, _reduced_pairs, _tri_solve
+from hermevp.element import shape_table
 
 
 def to_dense(A) -> np.ndarray:
@@ -40,11 +41,12 @@ def dense_reduce(K, M, k: int):
     return _reduced_pairs(rband, mu, y, k)
 
 
-def full_matrix_bands(mesh, shapes, coeffs):
+def full_matrix_bands(mesh, coeffs):
     """The K and M bands from every element's full (p+1) x (p+1) local
     matrices, one einsum per coefficient term over all (i, k), scattered
     through a mask of the free upper-triangle entries in (element, i, k)
-    order."""
+    order; p and eps come from mesh.spec, as in assemble."""
+    shapes, epsilon = shape_table(mesh.spec.p), mesh.spec.epsilon
     widths = mesh.widths
     x = mesh.nodes[:-1, None] + widths[:, None] * shapes.rule.points
     a = np.broadcast_to(np.asarray(coeffs.a(x), dtype=float), x.shape)
@@ -53,7 +55,7 @@ def full_matrix_bands(mesh, shapes, coeffs):
     w = shapes.rule.weights
     k1 = np.einsum("eq,iq,kq->eik", a * w, shapes.d1, shapes.d1)
     k0 = np.einsum("eq,iq,kq->eik", b * w, shapes.values, shapes.values)
-    k_loc = (coeffs.epsilon**2 / h**3) * shapes.k2 + (1.0 / h) * k1 + h * k0
+    k_loc = (epsilon**2 / h**3) * shapes.k2 + (1.0 / h) * k1 + h * k0
     m_loc = h * shapes.m0
     scale = np.ones((len(widths), shapes.p + 1))
     scale[:, 1] = scale[:, 3] = widths

@@ -42,17 +42,16 @@ eps-dependent constant such as C/eps fails.  And the worst mode-1 error
 over eps, times dof^r, must stay within a factor 10 across the N ladder,
 so the uniform bound decays at the proved rate.
 
-The expensive pieces (fine reference solves at N=1024 and the four
-epsilon ladders) are module-scoped fixtures shared by several criteria.
+The expensive piece, the four epsilon ladders with their fine reference
+solves at N=1024, is a module-scoped fixture shared by several criteria.
 """
 
 import numpy as np
 import pytest
 
 from hermevp import (CoefficientSet, MeshSpec, SolverConfig, assemble,
-                     build_mesh, compute_reference, convergence_study,
-                     element_matrices, interp_rate_study, shape_table,
-                     solve_smallest)
+                     build_mesh, convergence_study, element_matrices,
+                     interp_rate_study, shape_table, solve, solve_smallest)
 from hermevp.cli import BENCHMARK_EIGENVALUES
 from oracle import pencil_eigenvalues
 from test_assembly import symbolic_element_matrices
@@ -81,15 +80,17 @@ ENERGY_WINDOW = order_window(ENERGY_ORDER, P)
 LAMBDA1_CONST_EPS1E6 = 9.869643879723
 
 
-def expx_coeffs(epsilon):
-    return CoefficientSet(a=np.exp, b=lambda x: x, epsilon=epsilon,
-                          a_floor=1.0)
+def expx_coeffs():
+    return CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
 
 
-def const_coeffs(epsilon):
+def const_coeffs():
     return CoefficientSet(a=lambda x: np.ones_like(x),
-                          b=lambda x: np.zeros_like(x),
-                          epsilon=epsilon, a_floor=1.0)
+                          b=lambda x: np.zeros_like(x), a_floor=1.0)
+
+
+def layer_spec(epsilon, n, kind="exp", p=P):
+    return MeshSpec(epsilon=epsilon, beta=1.0, p=p, n_elements=n, kind=kind)
 
 
 def report(criterion, ok, detail):
@@ -131,33 +132,21 @@ def scaled_worst_spread(studies, metric, order):
 
 
 @pytest.fixture(scope="module")
-def references():
-    out = {}
-    for eps in EPS_LADDER:
-        modes = 5 if eps == 1e-6 else 2
-        out[eps] = compute_reference("exp", eps, 1.0, P, 1024,
-                                     expx_coeffs(eps), modes=modes)
-    return out
-
-
-@pytest.fixture(scope="module")
-def studies(references):
-    return {eps: convergence_study("exp", eps, 1.0, P, N_LADDER,
-                                   expx_coeffs(eps), modes=2,
-                                   reference=references[eps])
+def studies():
+    # each study solves its own two-mode reference at N=1024
+    return {eps: convergence_study(layer_spec(eps, 1024), N_LADDER,
+                                   expx_coeffs(), SolverConfig(k=2))
             for eps in EPS_LADDER}
 
 
 def solve_eigenvalues(epsilon, n, kind, coeffs, k, p=P):
-    mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
-                               n_elements=n, kind=kind))
-    K, M, _ = assemble(mesh, shape_table(p), coeffs)
-    return solve_smallest(K, M, SolverConfig(k=k)).eigenvalues
+    return solve(layer_spec(epsilon, n, kind, p), coeffs,
+                 SolverConfig(k=k)).spectrum.eigenvalues
 
 
 class TestCriterion1Benchmark:
     def test_five_modes_at_finest_resolution(self):
-        lams = solve_eigenvalues(1e-6, 32, "exp", expx_coeffs(1e-6), k=5)
+        lams = solve_eigenvalues(1e-6, 32, "exp", expx_coeffs(), k=5)
         tols = (0.05, 0.05, 0.5, 0.5, 0.5)
         devs = [100.0 * abs(lams[m] - BENCHMARK_EIGENVALUES[m + 1][-1])
                 / BENCHMARK_EIGENVALUES[m + 1][-1] for m in range(5)]
@@ -241,9 +230,9 @@ class TestCriterion6MinMaxMonotonicity:
     def test_nested_uniform_refinement(self, preset, make):
         eps, k = 1e-2, 5
         ladder = (8, 16, 32, 64)
-        lams = np.array([solve_eigenvalues(eps, n, "uniform", make(eps), k)
+        lams = np.array([solve_eigenvalues(eps, n, "uniform", make(), k)
                          for n in ladder])
-        ref = solve_eigenvalues(eps, 256, "uniform", make(eps), k)
+        ref = solve_eigenvalues(eps, 256, "uniform", make(), k)
         shrink = np.diff(lams, axis=0) <= 1e-9 * lams[:-1]
         above = lams >= ref[None, :] * (1.0 - 1e-10)
         ok = bool(np.all(shrink) and np.all(above))
@@ -280,15 +269,13 @@ class TestCriterion7OracleEquivalence:
 
     def test_solver_matches_dense_brute_force(self):
         problems = [
-            ("const eps=1 N=4 uniform", 1.0, 4, "uniform", const_coeffs(1.0), 5),
-            ("expx eps=0.1 N=8 uniform", 0.1, 8, "uniform", expx_coeffs(0.1), 5),
-            ("expx eps=1e-2 N=16 graded", 1e-2, 16, "exp", expx_coeffs(1e-2), 5),
+            ("const eps=1 N=4 uniform", 1.0, 4, "uniform", const_coeffs(), 5),
+            ("expx eps=0.1 N=8 uniform", 0.1, 8, "uniform", expx_coeffs(), 5),
+            ("expx eps=1e-2 N=16 graded", 1e-2, 16, "exp", expx_coeffs(), 5),
         ]
         worst = 0.0
         for label, eps, n, kind, coeffs, k in problems:
-            mesh = build_mesh(MeshSpec(epsilon=eps, beta=1.0, p=3,
-                                       n_elements=n, kind=kind))
-            K, M, _ = assemble(mesh, shape_table(3), coeffs)
+            K, M, _ = assemble(build_mesh(layer_spec(eps, n, kind)), coeffs)
             assert K.n <= 50
             lams = solve_smallest(K, M, SolverConfig(k=k)).eigenvalues
             brute = pencil_eigenvalues(K, M, k)
@@ -303,7 +290,7 @@ class TestCriterion7OracleEquivalence:
 class TestCriterion8ReducedLimit:
     def test_first_eigenvalue_approaches_pi_squared(self):
         lam = float(solve_eigenvalues(1e-6, 256, "exp",
-                                      const_coeffs(1e-6), k=1)[0])
+                                      const_coeffs(), k=1)[0])
         pi2 = np.pi**2
         rel_pi2 = abs(lam - pi2) / pi2
         rel_oracle = abs(lam - LAMBDA1_CONST_EPS1E6) / LAMBDA1_CONST_EPS1E6
@@ -315,9 +302,9 @@ class TestCriterion8ReducedLimit:
 
 
 class TestCriterion9HigherModeDegradation:
-    def test_mode5_error_exceeds_mode1_error(self, references):
-        ref = references[1e-6].spectrum.eigenvalues
-        lams = solve_eigenvalues(1e-6, 32, "exp", expx_coeffs(1e-6), k=5)
+    def test_mode5_error_exceeds_mode1_error(self):
+        ref = solve_eigenvalues(1e-6, 1024, "exp", expx_coeffs(), k=5)
+        lams = solve_eigenvalues(1e-6, 32, "exp", expx_coeffs(), k=5)
         e1 = abs(lams[0] - ref[0]) / ref[0]
         e5 = abs(lams[4] - ref[4]) / ref[4]
         ok = e5 > e1

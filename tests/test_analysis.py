@@ -7,7 +7,8 @@ import pytest
 import hermevp.analysis
 from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
                      DimensionMismatch, FEFunction, InvalidSpec, MeshSpec,
-                     NoConvergence, NonpositiveError, StudyRecord,
+                     NoConvergence, NonpositiveError, SolverConfig,
+                     StudyRecord,
                      StudyReport, TooFewPoints, ZeroVector, align_sign,
                      build_mesh, compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
@@ -50,14 +51,14 @@ class TestEnergyNormError:
     def test_proportional_functions(self):
         u_ref = make_function(seed=1)
         u_h = make_function(seed=1, scale=1.01)
-        err = energy_norm_error(u_h, u_ref, epsilon=0.3)
+        err = energy_norm_error(u_h, u_ref)
         assert err == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_reference_rejected(self):
         u_ref = make_function(seed=2, scale=0.0)
         u_h = make_function(seed=2)
         with pytest.raises(NonpositiveError):
-            energy_norm_error(u_h, u_ref, epsilon=0.3)
+            energy_norm_error(u_h, u_ref)
 
     def test_same_function_on_nested_meshes(self):
         # A piecewise cubic on 4 elements belongs to the 8-element space;
@@ -69,7 +70,7 @@ class TestEnergyNormError:
         fine = FEFunction(mesh=fine_mesh, p=3,
                           node_values=coarse(fine_mesh.nodes),
                           node_slopes=coarse(fine_mesh.nodes, deriv=1))
-        assert energy_norm_error(fine, coarse, epsilon=0.3) < 1e-10
+        assert energy_norm_error(fine, coarse) < 1e-10
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_modes_equal_single_mode_calls(self, p):
@@ -93,13 +94,13 @@ class TestEnergyNormError:
                               bubbles=u.bubbles[..., m].copy())
 
         u_h, u_ref = functions(16, p), functions(64, 10 + p)
-        errors = energy_norm_error(u_h, u_ref, epsilon=1e-3)
+        errors = energy_norm_error(u_h, u_ref)
         assert errors.shape == (3,)
         for m in range(3):
             assert errors[m] == energy_norm_error(mode(u_h, m),
-                                                  mode(u_ref, m), 1e-3)
+                                                  mode(u_ref, m))
         with pytest.raises(DimensionMismatch):
-            energy_norm_error(u_h, mode(u_ref, 0), epsilon=1e-3)
+            energy_norm_error(u_h, mode(u_ref, 0))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_equals_per_derivative_loop(self, p):
@@ -138,7 +139,7 @@ class TestEnergyNormError:
             err_sq += factor * float(w @ (dh - dr) ** 2)
             ref_sq += factor * float(w @ dr**2)
         expect = 100.0 * np.sqrt(err_sq / ref_sq)
-        assert energy_norm_error(u_h, u_ref, epsilon) == expect
+        assert energy_norm_error(u_h, u_ref) == expect
 
     @pytest.mark.parametrize("kind", ["exp", "shishkin"])
     def test_breaks_keep_every_layer_node(self, kind, monkeypatch):
@@ -162,7 +163,7 @@ class TestEnergyNormError:
             return call(self, t, deriv, element)
 
         monkeypatch.setattr(FEFunction, "__call__", record)
-        energy_norm_error(u_h, u_ref, epsilon=1e-14)
+        energy_norm_error(u_h, u_ref)
         breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
         nq = len(gauss_rule(3 + 1).points)  # the default rule at p = 3
         x = seen[0].reshape(-1, nq)
@@ -201,9 +202,9 @@ class TestEnergyNormError:
                               node_slopes=slopes, bubbles=bubbles)
 
         u_h, u_ref = random_function(16, 1), random_function(48, 2)
-        default = energy_norm_error(u_h, u_ref, epsilon)
+        default = energy_norm_error(u_h, u_ref)
         for n_gauss in (2 * p, 12):
-            longer = energy_norm_error(u_h, u_ref, epsilon, n_gauss=n_gauss)
+            longer = energy_norm_error(u_h, u_ref, n_gauss=n_gauss)
             assert default == pytest.approx(longer, rel=1e-13, abs=0.0)
 
 
@@ -323,20 +324,22 @@ class TestReference:
 
     def test_reference_solution_contents(self):
         coeffs = CoefficientSet(a=lambda x: np.ones_like(x),
-                                b=lambda x: np.zeros_like(x),
-                                epsilon=1e-2, a_floor=1.0)
-        ref = compute_reference("exp", 1e-2, 1.0, 3, 64, coeffs, modes=2)
+                                b=lambda x: np.zeros_like(x), a_floor=1.0)
+        ref = compute_reference(exp_spec(1e-2, 64), coeffs, SolverConfig(k=2))
         assert ref.mesh.n_elements == 64
         assert ref.function.node_values.shape == (65, 2)
         assert ref.spectrum.eigenvalues.shape == (2,)
 
 
+def exp_spec(epsilon, n):
+    return MeshSpec(epsilon=epsilon, beta=1.0, p=3, n_elements=n, kind="exp")
+
+
 @pytest.fixture(scope="module")
 def study():
-    coeffs = CoefficientSet(a=np.exp, b=lambda x: x,
-                            epsilon=1e-2, a_floor=1.0)
-    return convergence_study("exp", 1e-2, 1.0, 3, (8, 12, 16), coeffs,
-                             modes=2, ref_n=64, per_region=200)
+    coeffs = CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
+    return convergence_study(exp_spec(1e-2, 64), (8, 12, 16), coeffs,
+                             SolverConfig(k=2), per_region=200)
 
 
 class TestConvergenceStudy:
@@ -417,9 +420,9 @@ class TestConvergenceStudy:
         sizes = []
         compute = hermevp.analysis.compute_reference
 
-        def spy(kind, epsilon, beta, p, n_ref, *args, **kwargs):
-            sizes.append(n_ref)
-            return compute(kind, epsilon, beta, p, n_ref, *args, **kwargs)
+        def spy(spec, coeffs, config):
+            sizes.append(spec.n_elements)
+            return compute(spec, coeffs, config)
 
         monkeypatch.setattr(hermevp.analysis, "compute_reference", spy)
         assert main(["convergence", "--epsilon", "1e-2", "--n", ladder,
@@ -457,10 +460,9 @@ class TestConvergenceStudy:
     def test_on_record_streams_every_row(self):
         seen = []
         coeffs = CoefficientSet(a=lambda x: np.ones_like(x),
-                                b=lambda x: np.zeros_like(x),
-                                epsilon=1e-2, a_floor=1.0)
-        convergence_study("exp", 1e-2, 1.0, 3, (8, 12), coeffs,
-                          modes=1, ref_n=32, per_region=100,
+                                b=lambda x: np.zeros_like(x), a_floor=1.0)
+        convergence_study(exp_spec(1e-2, 32), (8, 12), coeffs,
+                          SolverConfig(k=1), per_region=100,
                           on_record=seen.append)
         assert [r.N for r in seen] == [8, 12]
 
@@ -468,10 +470,9 @@ class TestConvergenceStudy:
         # Pointwise rates observed for the first mode at eps=1e-3; the
         # value error tracks h^p+ and the slope error h^{p-1}+, so the
         # fitted orders must land in generous windows around 4 and 3.
-        coeffs = CoefficientSet(a=np.exp, b=lambda x: x,
-                                epsilon=1e-3, a_floor=1.0)
-        study = convergence_study("exp", 1e-3, 1.0, 3, (16, 32, 64), coeffs,
-                                  modes=1, ref_n=512, per_region=400)
+        coeffs = CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
+        study = convergence_study(exp_spec(1e-3, 512), (16, 32, 64), coeffs,
+                                  SolverConfig(k=1), per_region=400)
         u_order = study.order(1, "maxnorm_u_pct").slope
         du_order = study.order(1, "maxnorm_du_pct").slope
         assert 2.5 < u_order < 4.5

@@ -260,18 +260,15 @@ class TestSymBandMatrix:
             SymBandMatrix(0, 1)
 
 
-def default_coeffs(epsilon=0.3):
-    return CoefficientSet(a=np.exp, b=lambda x: x, epsilon=epsilon,
-                          a_floor=1.0)
+def default_coeffs():
+    return CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
 
 
 class TestAssemble:
     def test_matches_direct_integration_of_bilinear_form(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        shapes = shape_table(3)
-        coeffs = default_coeffs()
-        K, M, dofmap = assemble(mesh, shapes, coeffs)
+        K, M, dofmap = assemble(mesh, default_coeffs())
 
         rule = gauss_rule(20)
         xq = (mesh.nodes[:-1, None]
@@ -306,58 +303,47 @@ class TestAssemble:
     def test_matrices_positive_definite(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=4,
                                    n_elements=16, kind="exp"))
-        K, M, _ = assemble(mesh, shape_table(4), default_coeffs(1e-4))
+        K, M, _ = assemble(mesh, default_coeffs())
         np.linalg.cholesky(to_dense(K))
         np.linalg.cholesky(to_dense(M))
-
-    def test_degree_mismatch_rejected(self):
-        mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
-                                   n_elements=4, kind="uniform"))
-        with pytest.raises(InvalidSpec):
-            assemble(mesh, shape_table(4), default_coeffs())
 
     def test_a_below_floor_rejected(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
         coeffs = CoefficientSet(a=lambda x: x, b=lambda x: 0.0 * x,
-                                epsilon=0.3, a_floor=0.5)
+                                a_floor=0.5)
         with pytest.raises(CoefficientViolation):
-            assemble(mesh, shape_table(3), coeffs)
+            assemble(mesh, coeffs)
 
     def test_negative_b_rejected(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
         coeffs = CoefficientSet(a=lambda x: 1.0 + 0.0 * x,
-                                b=lambda x: x - 0.5,
-                                epsilon=0.3, a_floor=1.0)
+                                b=lambda x: x - 0.5, a_floor=1.0)
         with pytest.raises(CoefficientViolation):
-            assemble(mesh, shape_table(3), coeffs)
+            assemble(mesh, coeffs)
 
     def test_scalar_coefficient_broadcast(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        lits = CoefficientSet(a=lambda x: 1.0, b=lambda x: 0.0,
-                              epsilon=0.3, a_floor=1.0)
+        lits = CoefficientSet(a=lambda x: 1.0, b=lambda x: 0.0, a_floor=1.0)
         fns = CoefficientSet(a=lambda x: np.ones_like(x),
-                             b=lambda x: np.zeros_like(x),
-                             epsilon=0.3, a_floor=1.0)
-        K1, M1, _ = assemble(mesh, shape_table(3), lits)
-        K2, M2, _ = assemble(mesh, shape_table(3), fns)
+                             b=lambda x: np.zeros_like(x), a_floor=1.0)
+        K1, M1, _ = assemble(mesh, lits)
+        K2, M2, _ = assemble(mesh, fns)
         assert np.array_equal(K1.band, K2.band)
         assert np.array_equal(M1.band, M2.band)
 
     def test_coefficient_set_validation(self):
         with pytest.raises(InvalidSpec):
-            CoefficientSet(a=np.exp, b=np.exp, epsilon=0.0, a_floor=1.0)
-        with pytest.raises(InvalidSpec):
-            CoefficientSet(a=np.exp, b=np.exp, epsilon=0.5, a_floor=0.0)
+            CoefficientSet(a=np.exp, b=np.exp, a_floor=0.0)
 
 
 class TestFEFunction:
     def make(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        _, _, dofmap = assemble(mesh, shape_table(3), default_coeffs())
+        _, _, dofmap = assemble(mesh, default_coeffs())
         return mesh, dofmap
 
     def test_dof_vector_unpacking(self):
@@ -419,7 +405,7 @@ class TestFEFunction:
     def test_quintic_bubbles_participate(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=5,
                                    n_elements=4, kind="uniform"))
-        _, _, dofmap = assemble(mesh, shape_table(5), default_coeffs())
+        _, _, dofmap = assemble(mesh, default_coeffs())
         vec = np.zeros(dofmap.n_free)
         vec[dofmap.element_dofs[1, 4]] = 1.0
         u = FEFunction.from_dof_vector(mesh, dofmap, vec)
@@ -459,7 +445,7 @@ class TestFEFunction:
     def test_tuple_deriv_columns_equal_single_calls(self, p):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, shape_table(p), default_coeffs())
+        _, _, dofmap = assemble(mesh, default_coeffs())
         rng = np.random.default_rng(p)
         u = FEFunction.from_dof_vector(mesh, dofmap,
                                        rng.standard_normal(dofmap.n_free))
@@ -482,7 +468,7 @@ class TestFEFunction:
         # term of the element's polynomial, which is the node value itself
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, shape_table(p), default_coeffs())
+        _, _, dofmap = assemble(mesh, default_coeffs())
         rng = np.random.default_rng(10 + p)
         u = FEFunction.from_dof_vector(mesh, dofmap,
                                        rng.standard_normal(dofmap.n_free))
@@ -507,7 +493,7 @@ class TestFEFunction:
     def test_local_coordinates_equal_point_calls(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=5,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, shape_table(5), default_coeffs())
+        _, _, dofmap = assemble(mesh, default_coeffs())
         rng = np.random.default_rng(6)
         u = FEFunction.from_dof_vector(mesh, dofmap,
                                        rng.standard_normal(dofmap.n_free))
@@ -525,7 +511,7 @@ class TestFEFunctionModes:
     def make(p, n_modes=3):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, shape_table(p), default_coeffs())
+        _, _, dofmap = assemble(mesh, default_coeffs())
         rng = np.random.default_rng(30 + p)
         vecs = rng.standard_normal((dofmap.n_free, n_modes))
         return mesh, dofmap, vecs

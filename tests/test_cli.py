@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import hermevp
+import hermevp.analysis
 from hermevp import cli
 from hermevp.cli import COMMANDS, COMMON_FLAGS, OPTIONS, main
 from hermevp.mesh import MeshSpec, build_mesh
@@ -291,7 +293,7 @@ class TestExitCodes:
         (("solve", "--tol", "-inf"),
          "tolerance must be positive and finite, got -inf"),
         (("solve", "--epsilon", "-1e-3"),
-         "epsilon must be positive, got -0.001"),
+         "epsilon must lie in (0, 1], got -0.001"),
         (("convergence", "--n", "-8,12,16"),
          "n_elements must be a positive integer, got -8"),
         (("solve", "--tol", "-1e-3x"),
@@ -478,6 +480,45 @@ class TestConvergence:
                          "--out", str(tmp_path))
         assert rc == 2
         assert err.startswith("error: InvalidSpec: ") and "epsilon" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,error", [
+        (("--n", "16,32,64", "--epsilon", "1e-15", "--mesh", "exp"),
+         "InvalidSpec: mesh nodes are not strictly increasing"),
+        (("--n", "16,32,64", "--epsilon", "1e-15", "--mesh", "exp",
+          "--ref-n", "512"),
+         "InvalidSpec: mesh nodes are not strictly increasing"),
+        (("--n", "8,12,16", "--modes", "20", "--mesh", "uniform",
+          "--epsilon", "1e-2"),
+         "KTooLarge: asked for 20 modes, but the mesh with N=8 has 14 dofs"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_refused_study_runs_no_solve_and_leaves_no_file(
+            self, tmp_path, capsys, monkeypatch, argv, error):
+        # a collapsing mesh or too many modes is refused before the
+        # reference solve, and before any study file is opened
+        def no_solve(*args):
+            raise AssertionError("solved before the refusal")
+
+        monkeypatch.setattr(hermevp.analysis, "solve_smallest", no_solve)
+        rc, out, err = run(capsys, "convergence", "--p", "3", *argv,
+                           "--out", str(tmp_path))
+        exit_code = getattr(hermevp, error.split(":")[0]).exit_code
+        assert (rc, out) == (exit_code, "")
+        assert err.startswith("error: " + error) and len(err.splitlines()) == 1
+        assert list(tmp_path.glob("study_eps*")) == []
+
+    @pytest.mark.parametrize("values", [(1e-6, 1.0000001e-6), (1e-2, 1e-2)])
+    def test_colliding_file_names_refused(self, tmp_path, capsys, values):
+        # both values would write study_eps1e-06 (or study_eps0.01), the
+        # second study overwriting the first
+        first, second = values
+        rc, out, err = run(capsys, "convergence", "--n", "8,12,16",
+                           "--epsilon", f"{first!r},{second!r}",
+                           "--ref-n", "48", "--out", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: InvalidSpec: --epsilon values {first!r} and "
+                       f"{second!r} would both write "
+                       f"study_eps{first:g}.csv\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_reference_size_rejected(self, tmp_path, capsys):

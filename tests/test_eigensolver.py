@@ -19,8 +19,8 @@ def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
     coeffs = CoefficientSet(
         a=a if a is not None else (lambda x: np.ones_like(x)),
         b=b if b is not None else (lambda x: np.zeros_like(x)),
-        epsilon=epsilon, a_floor=a_floor)
-    return assemble(mesh, shape_table(p), coeffs)
+        a_floor=a_floor)
+    return assemble(mesh, coeffs)
 
 
 class TestSolveSmallest:

@@ -3,11 +3,17 @@ import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import hermevp
 import hermevp.analysis
+import hermevp.cli
 import hermevp.mesh
 from hermevp import HermevpError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -50,3 +56,38 @@ def test_only_the_cli_lays_out_files():
                 imported.add("." * node.level + (node.module or ""))
         assert not imported & {"json", ".csvout", "hermevp.csvout"}, \
             module.__name__
+
+
+def calls_to(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_one_pipeline():
+    # the command-line module reaches the discretize-and-solve chain only
+    # through analysis.solve, the one function that calls solve_smallest
+    tree = ast.parse(inspect.getsource(hermevp.cli))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {"assemble", "solve_smallest", "shape_table",
+                           "FEFunction"}
+    package = Path(hermevp.__file__).parent
+    calls = {path.stem: len(calls_to(ast.parse(path.read_text()),
+                                      "solve_smallest"))
+             for path in package.glob("*.py")}
+    assert {stem: n for stem, n in calls.items() if n} == {"analysis": 1}
+    solve = ast.parse(inspect.getsource(hermevp.analysis.solve))
+    assert len(calls_to(solve, "solve_smallest")) == 1
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    lams = namespace["sol"].spectrum.eigenvalues
+    # the flagship problem's lowest mode, as in the benchmark table
+    assert lams[0] == pytest.approx(16.6801, rel=1e-5)
+    assert len(capsys.readouterr().out.splitlines()) >= 3

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermevp import (CoefficientSet, HermevpError, MeshKind, MeshSpec,
-                     SolverConfig, assemble, build_mesh, shape_table,
-                     solve_smallest)
+                     SolverConfig, assemble, build_mesh, solve_smallest)
 from hermevp.cli import resolve_coefficients
 from hermevp.element import piecewise_eval
 from oracle import dense_reduce, full_matrix_bands, per_order_eval
@@ -28,8 +27,8 @@ def test_solve_or_documented_error(p, n, log_eps, kind, preset, k):
     try:
         mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
                                    n_elements=n, kind=kind))
-        coeffs = resolve_coefficients(preset, None, None, epsilon)
-        K, M, _ = assemble(mesh, shape_table(p), coeffs)
+        coeffs = resolve_coefficients(preset, None, None)
+        K, M, _ = assemble(mesh, coeffs)
         spec = solve_smallest(K, M, SolverConfig(k=k))
     except HermevpError:
         return
@@ -58,16 +57,13 @@ def meshes(draw):
 def test_assembly_equals_full_matrix_oracle(mesh, preset, log_scale):
     # the kept-triangle integrals and their scatter give K and M bit for
     # bit as the full local matrices did
-    spec = mesh.spec
-    base = resolve_coefficients(preset, None, None, spec.epsilon)
+    base = resolve_coefficients(preset, None, None)
     scale = 10.0**log_scale
     coeffs = CoefficientSet(a=lambda x: scale * base.a(x),
                             b=lambda x: scale * base.b(x),
-                            epsilon=spec.epsilon,
                             a_floor=scale * base.a_floor)
-    shapes = shape_table(spec.p)
-    K, M, _ = assemble(mesh, shapes, coeffs)
-    k_band, m_band = full_matrix_bands(mesh, shapes, coeffs)
+    K, M, _ = assemble(mesh, coeffs)
+    k_band, m_band = full_matrix_bands(mesh, coeffs)
     assert np.array_equal(K.band, k_band)
     assert np.array_equal(M.band, m_band)
 
@@ -79,10 +75,9 @@ def test_finest_assembly_equals_full_matrix_oracle(kind, p, scale):
     mesh = build_mesh(MeshSpec(epsilon=1e-8, beta=1.0, p=p,
                                n_elements=1024, kind=kind))
     coeffs = CoefficientSet(a=lambda x: scale * np.exp(x),
-                            b=lambda x: scale * x, epsilon=1e-8,
-                            a_floor=scale)
-    K, M, _ = assemble(mesh, shape_table(p), coeffs)
-    k_band, m_band = full_matrix_bands(mesh, shape_table(p), coeffs)
+                            b=lambda x: scale * x, a_floor=scale)
+    K, M, _ = assemble(mesh, coeffs)
+    k_band, m_band = full_matrix_bands(mesh, coeffs)
     assert np.array_equal(K.band, k_band)
     assert np.array_equal(M.band, m_band)
 
