@@ -20,13 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import CoefficientSet, DofMap, FEFunction, assemble
+from .assembly import (CoefficientSet, DofMap, FEFunction, assemble,
+                       build_dof_map)
 from .eigensolver import SolverConfig, Spectrum, solve_smallest
 from .element import (HermiteData, eval_layer_function, gauss_rule,
                       hermite_interpolant)
 from .errors import (AmbiguousSign, AssumptionViolated, DimensionMismatch,
-                     InvalidLayerWidth, InvalidSpec, NonpositiveError,
-                     TooFewPoints, ZeroVector)
+                     InvalidLayerWidth, InvalidSpec, KTooLarge,
+                     NonpositiveError, TooFewPoints, ZeroVector)
 from .mesh import Mesh, MeshKind, MeshSpec, build_mesh
 
 SIGN_RTOL = 1e-8
@@ -102,25 +103,28 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction, n_gauss: int = None):
     return errors[0] if u_h.node_values.ndim == 1 else np.array(errors)
 
 
-def sample_points(mesh: Mesh, per_region: int = 1000) -> np.ndarray:
+SAMPLES_PER_REGION = 1000
+
+
+def sample_points(mesh: Mesh) -> np.ndarray:
     """Evaluation points covering the mesh, region-aware.
 
-    Layer-adapted meshes get per_region points in each of the two layer
-    strips and the interior, so the layers are not starved of samples;
-    uniform meshes get one dense sweep.  Mesh nodes are always included.
+    Layer-adapted meshes get n = SAMPLES_PER_REGION points in each of the
+    two layer strips and the interior, so the layers are not starved of
+    samples; uniform meshes get one sweep of 3n.  Mesh nodes are always
+    included.
     """
-    if per_region < 2:
-        raise TooFewPoints(f"per_region must be >= 2, got {per_region}")
+    n = SAMPLES_PER_REGION
     if mesh.spec.kind is MeshKind.UNIFORM:
-        pts = np.linspace(0.0, 1.0, 3 * per_region)
+        pts = np.linspace(0.0, 1.0, 3 * n)
     else:
         t = mesh.transition_left()
         if not 0.0 < t < 0.5:
             raise InvalidLayerWidth(f"transition abscissa {t} not in (0, 1/2)")
         pts = np.concatenate([
-            np.linspace(0.0, t, per_region),
-            np.linspace(t, 1.0 - t, per_region),
-            np.linspace(1.0 - t, 1.0, per_region),
+            np.linspace(0.0, t, n),
+            np.linspace(t, 1.0 - t, n),
+            np.linspace(1.0 - t, 1.0, n),
         ])
     return np.unique(np.concatenate([pts, mesh.nodes]))
 
@@ -366,18 +370,34 @@ class StudyReport:
         return out
 
 
+def check_study(ref_spec: MeshSpec, n_values: Sequence[int],
+                config: SolverConfig) -> None:
+    """Refuse, before any solve, a ladder no study could score: a
+    reference no finer than its largest size, or config.k at or above its
+    smallest mesh's free dofs."""
+    n_ref, n_min, n_max = ref_spec.n_elements, min(n_values), max(n_values)
+    if n_ref <= n_max:
+        raise InvalidSpec(f"the reference mesh size {n_ref} must exceed "
+                          f"the largest mesh size {n_max}")
+    n_free = build_dof_map(n_min, ref_spec.p).n_free
+    if config.k >= n_free:
+        raise KTooLarge(f"asked for {config.k} modes, but the mesh with "
+                        f"N={n_min} has {n_free} dofs, of which "
+                        f"ARPACK returns at most n - 1 = {n_free - 1}")
+
+
 def convergence_study(ref_spec: MeshSpec, n_values: Sequence[int],
                       coeffs: CoefficientSet, config: SolverConfig,
-                      per_region: int = 1000,
                       on_record: Callable = None) -> StudyReport:
     """Solve the eigenproblem on ref_spec with each size of n_values,
     compare each mode to the solve on ref_spec itself, the reference, and
-    tabulate the errors.
+    tabulate the errors.  check_study refuses the ladder first.
 
     on_record, when given, receives each StudyRecord as soon as it exists,
     so callers can flush partial results even if a later grid point fails.
     """
     n_values = sorted(int(n) for n in n_values)
+    check_study(ref_spec, n_values, config)
     reference = compute_reference(ref_spec, coeffs, config)
     lam_ref = reference.spectrum.eigenvalues
     modes, epsilon = config.k, ref_spec.epsilon
@@ -385,7 +405,7 @@ def convergence_study(ref_spec: MeshSpec, n_values: Sequence[int],
     records = []
     for n in n_values:
         rung = solve(replace(ref_spec, n_elements=n), coeffs, config)
-        pts = sample_points(rung.mesh, per_region)
+        pts = sample_points(rung.mesh)
         # every mode in one located pass: columns (u, u') per mode;
         # flipping the samples' sign is exact
         dh = rung.function(pts, (0, 1))

@@ -32,20 +32,53 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Problem coefficients.  a_floor is a positive lower bound for a(x) on
-    [0, 1] that assemble checks every quadrature sample of a against.  It
-    is measured, not proved: the CLI takes the minimum of a over 4097
-    equally spaced points, less 1e-9 relative.  The mesh's layer strength
-    beta is a separate input (--beta, default 1.0), not derived from it.
-    """
+    """Problem coefficients a and b, vectorized callables of x, checked
+    when the set is made by sampling both at PROBE_POINTS equally spaced
+    points of [0, 1].  a_floor, the least a there less 1e-9 relative, is
+    derived from that probe: measured, not proved.  The mesh's layer
+    strength beta is a separate input, not derived from a."""
 
     a: Callable
     b: Callable
-    a_floor: float
+    a_floor: float = field(init=False)
+    PROBE_POINTS = 4097         # a class constant, not a field
 
     def __post_init__(self):
-        if self.a_floor <= 0.0:
-            raise InvalidSpec(f"a_floor must be positive, got {self.a_floor}")
+        # the probe samples against a floor of 0, so it refuses a <= 0
+        object.__setattr__(self, "a_floor", 0.0)
+        a_at, _ = self.sample(np.linspace(0.0, 1.0, self.PROBE_POINTS))
+        object.__setattr__(self, "a_floor", float(a_at.min()) * (1.0 - 1e-9))
+
+    def sample(self, x: np.ndarray):
+        """a and b at the points x, each of x's shape.  An evaluation that
+        raises is refused as InvalidSpec; a value that is not finite, an a
+        at or below a_floor less 1e-12 relative or a b < 0 as
+        CoefficientViolation."""
+        a_name, b_name = (getattr(f, "__name__", f) for f in (self.a, self.b))
+        try:    # NaN and inf are refused below, not warned about
+            with np.errstate(all="ignore"):
+                a_at, b_at = (np.broadcast_to(np.asarray(f(x), dtype=float),
+                                              x.shape)
+                              for f in (self.a, self.b))
+        except Exception as exc:    # whatever it is, the spec is at fault
+            raise InvalidSpec(f"cannot evaluate a(x) = {a_name!r} and b(x) = "
+                              f"{b_name!r} on [0, 1]: {exc!r}") from exc
+        for name, vals in ((f"a(x) = {a_name!r}", a_at),
+                           (f"b(x) = {b_name!r}", b_at)):
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                raise CoefficientViolation(
+                    f"{name} is {float(vals[bad][0])} at x = "
+                    f"{float(x[bad][0])}, not finite")
+        lowest = self.a_floor * (1.0 - 1e-12)
+        if not a_at.min() > lowest:
+            raise CoefficientViolation(f"a(x) = {a_name!r} reaches "
+                                       f"{float(a_at.min())} on [0, 1], "
+                                       f"need a > {lowest!r}")
+        if np.any(b_at < 0.0):
+            raise CoefficientViolation(f"b(x) = {b_name!r} reaches "
+                                       f"{float(b_at.min())} < 0")
+        return a_at, b_at
 
 
 class SymBandMatrix:
@@ -102,17 +135,13 @@ class SymBandMatrix:
 class DofMap:
     """Free-dof numbering with the clamped end dofs eliminated."""
 
-    p: int
     n_free: int
     bandwidth: int
     element_dofs: np.ndarray      # (n_elements, p+1), -1 for eliminated dofs
-    value_indices: np.ndarray     # free index of each interior node's value dof
-    slope_indices: np.ndarray
     pairs: np.ndarray             # (2, (p+1)(p+2)/2) local (row, column)
 
     def __post_init__(self):
-        for arr in (self.element_dofs, self.value_indices,
-                    self.slope_indices, self.pairs):
+        for arr in (self.element_dofs, self.pairs):
             arr.setflags(write=False)
 
 
@@ -138,15 +167,8 @@ def build_dof_map(n_elements: int, p: int) -> DofMap:
     lowest = np.maximum(e * (p - 1) - 2, 0)
     highest = np.minimum((e + 1) * (p - 1) - 1, n_free - 1)
     bandwidth = max(int((highest - lowest).max()), 0)
-    return DofMap(
-        p=p,
-        n_free=n_free,
-        bandwidth=bandwidth,
-        element_dofs=element_dofs,
-        value_indices=node_value[1:N].copy(),
-        slope_indices=node_slope[1:N].copy(),
-        pairs=_kept_pairs(p),
-    )
+    return DofMap(n_free=n_free, bandwidth=bandwidth,
+                  element_dofs=element_dofs, pairs=_kept_pairs(p))
 
 
 @lru_cache(maxsize=32)
@@ -193,29 +215,12 @@ def assemble(mesh: Mesh, coeffs: CoefficientSet):
     eps of the eps^2 term both read from mesh.spec.
 
     Coefficients are sampled at the mapped quadrature points of every
-    element; a(x) must stay at or above a_floor and b(x) must be
-    non-negative at each sample.
+    element through coeffs.sample, which holds them to its rules.
     """
     shapes = shape_table(mesh.spec.p)
-    nodes, widths = mesh.nodes, mesh.widths
-    x = nodes[:-1, None] + widths[:, None] * shapes.rule.points[None, :]
-    a_at = np.broadcast_to(np.asarray(coeffs.a(x), dtype=float), x.shape)
-    b_at = np.broadcast_to(np.asarray(coeffs.b(x), dtype=float), x.shape)
-    for name, vals in (("a", a_at), ("b", b_at)):
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            raise CoefficientViolation(
-                f"{name}(x) = {float(vals[bad][0])} is not finite at "
-                f"x = {float(x[bad][0])}"
-            )
-    tol = 1e-12 * max(1.0, coeffs.a_floor)
-    if np.any(a_at < coeffs.a_floor - tol):
-        worst = float(a_at.min())
-        raise CoefficientViolation(
-            f"a(x) dips to {worst} below a_floor = {coeffs.a_floor}"
-        )
-    if np.any(b_at < 0.0):
-        raise CoefficientViolation(f"b(x) reaches {float(b_at.min())} < 0")
+    widths = mesh.widths
+    a_at, b_at = coeffs.sample(mesh.nodes[:-1, None]
+                               + widths[:, None] * shapes.rule.points[None, :])
 
     dofmap = build_dof_map(mesh.n_elements, shapes.p)
     if dofmap.n_free == 0:
@@ -250,7 +255,8 @@ def _owned(arr) -> np.ndarray:
 class FEFunction:
     """A member of the C1 space, evaluable anywhere with any derivative.
 
-    Holds full (unconstrained) coefficient arrays; clamped end dofs are zero.
+    Holds full (unconstrained) coefficient arrays; clamped end dofs are
+    zero.  The degree p is 3 plus the bubbles per element (none: cubic).
     A trailing mode axis on every array, node_values of shape
     (n_elements + 1, modes), holds several functions on one mesh, and
     evaluating them gives the same trailing axis.  The arrays are made
@@ -260,11 +266,14 @@ class FEFunction:
     """
 
     mesh: Mesh
-    p: int
     node_values: np.ndarray
     node_slopes: np.ndarray
     bubbles: np.ndarray = field(default=None)  # (n_elements, p-3[, modes])
     _table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    @property
+    def p(self) -> int:
+        return 3 + self.bubbles.shape[1]
 
     def __post_init__(self):
         h = self.mesh.widths
@@ -272,20 +281,21 @@ class FEFunction:
         values = _owned(self.node_values)
         slopes = _owned(self.node_slopes)
         modes = values.shape[1:]
-        bubbles = np.zeros((n, self.p - 3) + modes) if self.bubbles is None \
+        bubbles = np.zeros((n, 0) + modes) if self.bubbles is None \
             else _owned(self.bubbles)
         if (values.shape != (n + 1,) + modes
-                or slopes.shape != (n + 1,) + modes
-                or bubbles.shape != (n, self.p - 3) + modes):
+                or slopes.shape != (n + 1,) + modes or bubbles.ndim < 2
+                or bubbles.shape[:1] + bubbles.shape[2:] != (n,) + modes):
             raise DimensionMismatch("coefficient arrays do not match the mesh")
+        p = 3 + bubbles.shape[1]
         v = values.reshape(n + 1, -1).T                     # (mode, node)
         s = slopes.reshape(n + 1, -1).T
-        b = bubbles.reshape(n, self.p - 3, len(v)).transpose(2, 0, 1)
+        b = bubbles.reshape(n, p - 3, len(v)).transpose(2, 0, 1)
         # a C-ordered (mode, element, coefficient) table, so each mode's
         # product is the same BLAS call as a single function's
         table = np.concatenate([np.stack([v[:, :-1], h * s[:, :-1], v[:, 1:],
                                           h * s[:, 1:]], axis=2), b],
-                               axis=2) @ _basis_coeffs(self.p)
+                               axis=2) @ _basis_coeffs(p)
         table = np.moveaxis(table, 0, 2) if modes else table[0]
         for name, arr in (("node_values", values), ("node_slopes", slopes),
                           ("bubbles", bubbles), ("_table", table)):
@@ -303,17 +313,13 @@ class FEFunction:
                 f"dof vector shape {vec.shape}, expected ({dofmap.n_free},) "
                 f"or ({dofmap.n_free}, modes)"
             )
-        n = mesh.n_elements
-        modes = vec.shape[1:]
-        padded = np.concatenate([vec, np.zeros((1,) + modes)])  # -1 reads 0
-        values = np.zeros((n + 1,) + modes)
-        slopes = np.zeros((n + 1,) + modes)
-        values[1:n] = padded[dofmap.value_indices]
-        slopes[1:n] = padded[dofmap.slope_indices]
-        bubbles = padded[dofmap.element_dofs[:, 4:]] if dofmap.p > 3 \
-            else np.zeros((n, 0) + modes)
-        return cls(mesh=mesh, p=dofmap.p, node_values=values,
-                   node_slopes=slopes, bubbles=bubbles)
+        pad = np.concatenate([vec, np.zeros((1,) + vec.shape[1:])])
+        dofs = dofmap.element_dofs          # -1, a clamped dof, reads 0
+        # each node's (value, slope) dofs: element i's left pair for node
+        # i, the last element's right pair for the last node
+        nodes = np.concatenate([dofs[:, :2], dofs[-1:, 2:4]])
+        return cls(mesh=mesh, node_values=pad[nodes[:, 0]],
+                   node_slopes=pad[nodes[:, 1]], bubbles=pad[dofs[:, 4:]])
 
     def __call__(self, x, deriv=0, element=None):
         """Values (deriv=0) or a derivative at the points x.

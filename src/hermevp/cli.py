@@ -31,13 +31,12 @@ from functools import cache
 
 import numpy as np
 
-from .analysis import (StudyRecord, convergence_study, default_reference_n,
-                       interp_rate_study, solve)
-from .assembly import CoefficientSet, build_dof_map
+from .analysis import (StudyRecord, check_study, convergence_study,
+                       default_reference_n, interp_rate_study, solve)
+from .assembly import CoefficientSet
 from .csvout import CsvWriter, float_fields, write_columns, write_csv
 from .eigensolver import SolverConfig
-from .errors import (CoefficientViolation, HermevpError, InvalidSpec,
-                     KTooLarge)
+from .errors import HermevpError, InvalidSpec
 from .mesh import MeshKind, MeshSpec, build_mesh, check_mesh_bounds
 
 _SAFE_NAMES = {
@@ -90,10 +89,9 @@ def make_expr_function(expr: str):
             )
 
     def fn(x):
-        # NaN/inf results are reported as CoefficientViolation, not warnings
-        with np.errstate(all="ignore"):
-            return eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "x": x})
+        return eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "x": x})
 
+    fn.__name__ = expr          # CoefficientSet's messages name it
     return fn
 
 
@@ -102,33 +100,15 @@ def resolve_coefficients(preset: str, a_expr: str,
     if preset == "custom":
         if not a_expr or not b_expr:
             raise InvalidSpec("preset 'custom' needs both --a-expr and --b-expr")
+    elif a_expr or b_expr:
+        raise InvalidSpec("--a-expr/--b-expr only apply with --preset custom")
+    elif preset not in PRESETS:
+        raise InvalidSpec(f"unknown preset {preset!r}; choose from "
+                          f"{', '.join(sorted(PRESETS))}, custom")
     else:
-        if a_expr or b_expr:
-            raise InvalidSpec(
-                "--a-expr/--b-expr only apply with --preset custom"
-            )
-        try:
-            a_expr, b_expr = PRESETS[preset]
-        except KeyError:
-            raise InvalidSpec(
-                f"unknown preset {preset!r}; choose from "
-                f"{', '.join(sorted(PRESETS))}, custom"
-            ) from None
-    a = make_expr_function(a_expr)
-    b = make_expr_function(b_expr)
-    probe = np.linspace(0.0, 1.0, 4097)
-    try:    # whatever an expression raises, the spec is at fault
-        a_at, _ = (np.broadcast_to(np.asarray(f(probe), dtype=float),
-                                   probe.shape) for f in (a, b))
-    except Exception as exc:
-        raise InvalidSpec(f"cannot evaluate a(x) = {a_expr!r} and b(x) = "
-                          f"{b_expr!r} on [0, 1]: {exc!r}") from exc
-    a_min = float(np.min(a_at))
-    if not a_min > 0.0:                              # also catches NaN
-        raise CoefficientViolation(
-            f"a(x) = {a_expr!r} reaches {a_min} on [0, 1], need a > 0"
-        )
-    return CoefficientSet(a=a, b=b, a_floor=a_min * (1.0 - 1e-9))
+        a_expr, b_expr = PRESETS[preset]
+    return CoefficientSet(a=make_expr_function(a_expr),
+                          b=make_expr_function(b_expr))
 
 
 def read_config_file(path: str) -> dict:
@@ -237,9 +217,9 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
     if len(n_values) < 3:
         raise InvalidSpec(f"need at least 3 mesh sizes, got {n_values}")
     ref_n = default_reference_n(n_values) if ns.ref_n is None else ns.ref_n
-    # every file name, mesh, mode count and solver spec is checked before
-    # the first CSV is opened, so a refused value leaves no partial file; a
-    # study that fails once it runs leaves one, ending in a # FAILED line
+    # every file name, mesh, mode count, solver spec and coefficient is
+    # checked before the first CSV is opened, so a refused value leaves no
+    # file; a study that fails once it runs leaves one ending in # FAILED
     solver = SolverConfig(k=ns.modes, tol=ns.tol)
     specs = {}
     for eps in ns.epsilon:
@@ -251,14 +231,7 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
                                n_elements=ref_n, kind=ns.mesh)
         for n in (ref_n, *n_values):    # raises on collapsing nodes too
             build_mesh(replace(specs[stem], n_elements=n))
-    if ref_n <= n_values[-1]:
-        raise InvalidSpec(f"reference size --ref-n {ref_n} must exceed "
-                          f"the largest mesh size {n_values[-1]}")
-    n_free = build_dof_map(n_values[0], ns.p).n_free
-    if ns.modes >= n_free:
-        raise KTooLarge(f"asked for {ns.modes} modes, but the mesh with "
-                        f"N={n_values[0]} has {n_free} dofs, of which "
-                        f"ARPACK returns at most n - 1 = {n_free - 1}")
+    check_study(specs[stem], n_values, solver)
     coeffs = resolve_coefficients(ns.preset, ns.a_expr, ns.b_expr)
 
     for name, spec in specs.items():

@@ -81,12 +81,12 @@ LAMBDA1_CONST_EPS1E6 = 9.869643879723
 
 
 def expx_coeffs():
-    return CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
+    return CoefficientSet(a=np.exp, b=lambda x: x)
 
 
 def const_coeffs():
     return CoefficientSet(a=lambda x: np.ones_like(x),
-                          b=lambda x: np.zeros_like(x), a_floor=1.0)
+                          b=lambda x: np.zeros_like(x))
 
 
 def layer_spec(epsilon, n, kind="exp", p=P):

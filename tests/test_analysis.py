@@ -6,15 +6,15 @@ import pytest
 
 import hermevp.analysis
 from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
-                     DimensionMismatch, FEFunction, InvalidSpec, MeshSpec,
-                     NoConvergence, NonpositiveError, SolverConfig,
-                     StudyRecord,
-                     StudyReport, TooFewPoints, ZeroVector, align_sign,
+                     DimensionMismatch, FEFunction, InvalidSpec, KTooLarge,
+                     MeshSpec, NoConvergence, NonpositiveError, SolverConfig,
+                     StudyRecord, StudyReport, TooFewPoints, ZeroVector,
+                     align_sign,
                      build_mesh, compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
                      energy_norm_error, fit_slope, gauss_rule,
                      interp_rate_study, sample_points)
-from hermevp.analysis import ERROR_METRICS
+from hermevp.analysis import ERROR_METRICS, SAMPLES_PER_REGION
 from hermevp.cli import CSV_COLUMNS, CSV_KINDS, main
 from hermevp.csvout import write_csv
 
@@ -27,8 +27,9 @@ def make_function(n=4, seed=0, scale=1.0, p=3):
     slopes = np.zeros(n + 1)
     values[1:n] = rng.standard_normal(n - 1)
     slopes[1:n] = rng.standard_normal(n - 1)
-    return FEFunction(mesh=mesh, p=p, node_values=scale * values,
-                      node_slopes=scale * slopes)
+    return FEFunction(mesh=mesh, node_values=scale * values,
+                      node_slopes=scale * slopes,
+                      bubbles=np.zeros((n, p - 3)))
 
 
 class TestAlignSign:
@@ -67,7 +68,7 @@ class TestEnergyNormError:
         coarse = make_function(n=4, seed=3)
         fine_mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                         n_elements=8, kind="uniform"))
-        fine = FEFunction(mesh=fine_mesh, p=3,
+        fine = FEFunction(mesh=fine_mesh,
                           node_values=coarse(fine_mesh.nodes),
                           node_slopes=coarse(fine_mesh.nodes, deriv=1))
         assert energy_norm_error(fine, coarse) < 1e-10
@@ -83,12 +84,12 @@ class TestEnergyNormError:
             values = rng.standard_normal((n + 1, 3))
             slopes = rng.standard_normal((n + 1, 3))
             values[[0, -1]] = slopes[[0, -1]] = 0.0
-            return FEFunction(mesh=mesh, p=p, node_values=values,
+            return FEFunction(mesh=mesh, node_values=values,
                               node_slopes=slopes,
                               bubbles=rng.standard_normal((n, p - 3, 3)))
 
         def mode(u, m):
-            return FEFunction(mesh=u.mesh, p=p,
+            return FEFunction(mesh=u.mesh,
                               node_values=u.node_values[:, m].copy(),
                               node_slopes=u.node_slopes[:, m].copy(),
                               bubbles=u.bubbles[..., m].copy())
@@ -109,7 +110,7 @@ class TestEnergyNormError:
         rng = np.random.default_rng(9)
 
         def with_random_bubbles(u):
-            return FEFunction(mesh=u.mesh, p=p, node_values=u.node_values,
+            return FEFunction(mesh=u.mesh, node_values=u.node_values,
                               node_slopes=u.node_slopes,
                               bubbles=rng.standard_normal(u.bubbles.shape))
 
@@ -149,7 +150,7 @@ class TestEnergyNormError:
             mesh = build_mesh(MeshSpec(epsilon=1e-14, beta=1.0, p=3,
                                        n_elements=n, kind=kind))
             x = mesh.nodes
-            return FEFunction(mesh=mesh, p=3, node_values=x * (1.0 - x),
+            return FEFunction(mesh=mesh, node_values=x * (1.0 - x),
                               node_slopes=1.0 - 2.0 * x)
 
         u_h, u_ref = layer_function(16), layer_function(1024)
@@ -198,7 +199,7 @@ class TestEnergyNormError:
                 values, slopes = rng.standard_normal((2, n + 1))
                 bubbles = rng.standard_normal((n, p - 3))
             values[[0, -1]] = slopes[[0, -1]] = 0.0
-            return FEFunction(mesh=mesh, p=p, node_values=values,
+            return FEFunction(mesh=mesh, node_values=values,
                               node_slopes=slopes, bubbles=bubbles)
 
         u_h, u_ref = random_function(16, 1), random_function(48, 2)
@@ -233,27 +234,21 @@ class TestSamplePoints:
     def test_layer_mesh_coverage(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=3,
                                    n_elements=16, kind="exp"))
-        pts = sample_points(mesh, per_region=100)
+        pts = sample_points(mesh)
         t = mesh.transition_left()
         assert pts[0] == 0.0 and pts[-1] == 1.0
         assert np.all(np.isin(mesh.nodes, pts))
         # each region really gets its share of points
-        assert np.sum(pts <= t) >= 100
-        assert np.sum((pts >= t) & (pts <= 1 - t)) >= 100
-        assert np.sum(pts >= 1 - t) >= 100
+        assert np.sum(pts <= t) >= SAMPLES_PER_REGION
+        assert np.sum((pts >= t) & (pts <= 1 - t)) >= SAMPLES_PER_REGION
+        assert np.sum(pts >= 1 - t) >= SAMPLES_PER_REGION
 
     def test_uniform_mesh_single_sweep(self):
         mesh = build_mesh(MeshSpec(epsilon=0.5, beta=1.0, p=3,
                                    n_elements=10, kind="uniform"))
-        pts = sample_points(mesh, per_region=50)
-        assert len(pts) >= 150
+        pts = sample_points(mesh)
+        assert len(pts) >= 3 * SAMPLES_PER_REGION
         assert np.all(np.diff(pts) > 0.0)
-
-    def test_too_few(self):
-        mesh = build_mesh(MeshSpec(epsilon=0.5, beta=1.0, p=3,
-                                   n_elements=10, kind="uniform"))
-        with pytest.raises(TooFewPoints):
-            sample_points(mesh, per_region=1)
 
 
 class TestFitSlope:
@@ -324,7 +319,7 @@ class TestReference:
 
     def test_reference_solution_contents(self):
         coeffs = CoefficientSet(a=lambda x: np.ones_like(x),
-                                b=lambda x: np.zeros_like(x), a_floor=1.0)
+                                b=lambda x: np.zeros_like(x))
         ref = compute_reference(exp_spec(1e-2, 64), coeffs, SolverConfig(k=2))
         assert ref.mesh.n_elements == 64
         assert ref.function.node_values.shape == (65, 2)
@@ -337,9 +332,9 @@ def exp_spec(epsilon, n):
 
 @pytest.fixture(scope="module")
 def study():
-    coeffs = CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
+    coeffs = CoefficientSet(a=np.exp, b=lambda x: x)
     return convergence_study(exp_spec(1e-2, 64), (8, 12, 16), coeffs,
-                             SolverConfig(k=2), per_region=200)
+                             SolverConfig(k=2))
 
 
 class TestConvergenceStudy:
@@ -460,19 +455,39 @@ class TestConvergenceStudy:
     def test_on_record_streams_every_row(self):
         seen = []
         coeffs = CoefficientSet(a=lambda x: np.ones_like(x),
-                                b=lambda x: np.zeros_like(x), a_floor=1.0)
+                                b=lambda x: np.zeros_like(x))
         convergence_study(exp_spec(1e-2, 32), (8, 12), coeffs,
-                          SolverConfig(k=1), per_region=100,
-                          on_record=seen.append)
+                          SolverConfig(k=1), on_record=seen.append)
         assert [r.N for r in seen] == [8, 12]
+
+    @pytest.mark.parametrize("spec,ladder,config,error,message", [
+        (MeshSpec(1e-2, 1.0, 3, 512, "uniform"), (8, 12, 16),
+         SolverConfig(k=20), KTooLarge,
+         "asked for 20 modes, but the mesh with N=8 has 14 dofs"),
+        (MeshSpec(1e-2, 1.0, 3, 32, "uniform"), (16, 32, 64),
+         SolverConfig(k=1), InvalidSpec,
+         "the reference mesh size 32 must exceed the largest mesh size 64"),
+    ], ids=["too-many-modes", "reference-not-finer"])
+    def test_unscorable_study_refused_before_any_solve(
+            self, monkeypatch, spec, ladder, config, error, message):
+        # a mode count the smallest rung cannot hold, or a reference no
+        # finer than a rung (which would score that rung 0.0), is refused
+        # before the reference solve
+        def no_solve(*args):
+            raise AssertionError("solved before the refusal")
+
+        monkeypatch.setattr(hermevp.analysis, "solve_smallest", no_solve)
+        coeffs = CoefficientSet(a=np.exp, b=lambda x: x)
+        with pytest.raises(error, match=message):
+            convergence_study(spec, ladder, coeffs, config)
 
     def test_eigenfunction_sup_norm_orders(self):
         # Pointwise rates observed for the first mode at eps=1e-3; the
         # value error tracks h^p+ and the slope error h^{p-1}+, so the
         # fitted orders must land in generous windows around 4 and 3.
-        coeffs = CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
+        coeffs = CoefficientSet(a=np.exp, b=lambda x: x)
         study = convergence_study(exp_spec(1e-3, 512), (16, 32, 64), coeffs,
-                                  SolverConfig(k=1), per_region=400)
+                                  SolverConfig(k=1))
         u_order = study.order(1, "maxnorm_u_pct").slope
         du_order = study.order(1, "maxnorm_du_pct").slope
         assert 2.5 < u_order < 4.5

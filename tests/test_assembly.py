@@ -137,8 +137,9 @@ class TestDofMap:
                            [2, 3, 4, 5],
                            [4, 5, -1, -1]])
         assert np.array_equal(dm.element_dofs, expect)
-        assert np.array_equal(dm.value_indices, [0, 2, 4])
-        assert np.array_equal(dm.slope_indices, [1, 3, 5])
+        # interior node values and slopes, read off each element's left node
+        assert np.array_equal(dm.element_dofs[1:, 0], [0, 2, 4])
+        assert np.array_equal(dm.element_dofs[1:, 1], [1, 3, 5])
 
     def test_quintic_map_counts_and_bandwidth(self):
         dm = build_dof_map(4, 5)
@@ -261,7 +262,7 @@ class TestSymBandMatrix:
 
 
 def default_coeffs():
-    return CoefficientSet(a=np.exp, b=lambda x: x, a_floor=1.0)
+    return CoefficientSet(a=np.exp, b=lambda x: x)
 
 
 class TestAssemble:
@@ -308,35 +309,70 @@ class TestAssemble:
         np.linalg.cholesky(to_dense(M))
 
     def test_a_below_floor_rejected(self):
-        mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
-                                   n_elements=4, kind="uniform"))
-        coeffs = CoefficientSet(a=lambda x: x, b=lambda x: 0.0 * x,
-                                a_floor=0.5)
-        with pytest.raises(CoefficientViolation):
-            assemble(mesh, coeffs)
+        # a = x reaches 0 at the probe's first point: refused when the set
+        # is made, before any mesh is sampled
+        with pytest.raises(CoefficientViolation, match=r"need a > 0\.0$"):
+            CoefficientSet(a=lambda x: x, b=lambda x: 0.0 * x)
 
     def test_negative_b_rejected(self):
+        with pytest.raises(CoefficientViolation, match="< 0"):
+            CoefficientSet(a=lambda x: 1.0 + 0.0 * x, b=lambda x: x - 0.5)
+
+    def test_quadrature_point_the_probe_missed(self):
+        # the probe's points are k/4096 exactly; a dips and b raises only
+        # between them, so assemble refuses at its quadrature points
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        coeffs = CoefficientSet(a=lambda x: 1.0 + 0.0 * x,
-                                b=lambda x: x - 0.5, a_floor=1.0)
-        with pytest.raises(CoefficientViolation):
-            assemble(mesh, coeffs)
+
+        def on_probe(x):
+            return x * 4096.0 == np.round(x * 4096.0)
+
+        dips = CoefficientSet(a=lambda x: np.where(on_probe(x), 1.0, 0.5),
+                              b=lambda x: 0.0 * x)
+        assert dips.a_floor == 1.0 - 1e-9
+        with pytest.raises(CoefficientViolation,
+                           match="reaches 0.5 on .0, 1., need a > 0.99999"):
+            assemble(mesh, dips)
+
+        def b_raises(x):
+            if not np.all(on_probe(x)):
+                raise ArithmeticError("off the probe")
+            return 0.0 * x
+
+        raises = CoefficientSet(a=np.exp, b=b_raises)
+        with pytest.raises(InvalidSpec, match="cannot evaluate a.x. = 'exp' "
+                                              "and b.x. = 'b_raises'"):
+            assemble(mesh, raises)
 
     def test_scalar_coefficient_broadcast(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        lits = CoefficientSet(a=lambda x: 1.0, b=lambda x: 0.0, a_floor=1.0)
+        lits = CoefficientSet(a=lambda x: 1.0, b=lambda x: 0.0)
         fns = CoefficientSet(a=lambda x: np.ones_like(x),
-                             b=lambda x: np.zeros_like(x), a_floor=1.0)
+                             b=lambda x: np.zeros_like(x))
         K1, M1, _ = assemble(mesh, lits)
         K2, M2, _ = assemble(mesh, fns)
         assert np.array_equal(K1.band, K2.band)
         assert np.array_equal(M1.band, M2.band)
 
     def test_coefficient_set_validation(self):
-        with pytest.raises(InvalidSpec):
-            CoefficientSet(a=np.exp, b=np.exp, a_floor=0.0)
+        # each refusal comes when the set is made, from the probe, as for
+        # a <= 0 and b < 0 above
+        for a, b, error, message in [
+            (lambda x: 1 / 0, np.exp, InvalidSpec, "cannot evaluate"),
+            (np.log, np.exp, CoefficientViolation,
+             "a.x. = 'log' is -inf at x = 0.0, not finite"),
+            (np.exp, lambda x: np.sqrt(x - 1.0), CoefficientViolation,
+             "is nan at x = 0.0, not finite"),
+        ]:
+            with pytest.raises(error, match=message):
+                CoefficientSet(a=a, b=b)
+
+    def test_a_floor_is_derived(self):
+        coeffs = CoefficientSet(a=lambda x: 2.0 + np.sin(8.0 * x), b=np.exp)
+        probe = np.linspace(0.0, 1.0, 4097)
+        assert coeffs.a_floor == (2.0 + np.sin(8.0 * probe)).min() * (
+            1.0 - 1e-9)
 
 
 class TestFEFunction:
@@ -375,10 +411,20 @@ class TestFEFunction:
         with pytest.raises(DimensionMismatch):
             FEFunction.from_dof_vector(mesh, dofmap, np.zeros(7))
 
+    @pytest.mark.parametrize("p", [3, 4, 7])
+    def test_degree_read_off_bubbles(self, p):
+        mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
+                                   n_elements=4, kind="uniform"))
+        u = FEFunction(mesh=mesh, node_values=np.zeros(5),
+                       node_slopes=np.zeros(5), bubbles=np.zeros((4, p - 3)))
+        assert u.p == p
+        assert FEFunction(mesh=mesh, node_values=np.zeros(5),
+                          node_slopes=np.zeros(5)).p == 3
+
     def test_wrong_array_lengths(self):
         mesh, _ = self.make()
         with pytest.raises(DimensionMismatch):
-            FEFunction(mesh=mesh, p=3, node_values=np.zeros(3),
+            FEFunction(mesh=mesh, node_values=np.zeros(3),
                        node_slopes=np.zeros(5))
 
     @pytest.mark.parametrize("name", ["node_values", "node_slopes",
@@ -391,12 +437,12 @@ class TestFEFunction:
                                    n_elements=4, kind="uniform"))
         given = {"node_values": np.zeros(5), "node_slopes": np.zeros(5),
                  "bubbles": np.zeros((4, 2))}
-        u = FEFunction(mesh=mesh, p=5, **given)
+        u = FEFunction(mesh=mesh, **given)
         for arr in (getattr(u, name), given[name]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[1] = 1.0
         base = np.zeros((2,) + given[name].shape)
-        v = FEFunction(mesh=mesh, p=5, **{**given, name: base[0]})
+        v = FEFunction(mesh=mesh, **{**given, name: base[0]})
         base[0, 1] = 1.0
         assert not getattr(v, name).flags.writeable
         assert np.all(getattr(v, name) == 0.0)
@@ -481,7 +527,7 @@ class TestFEFunction:
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
         rng = np.random.default_rng(20 + p)
-        u = FEFunction(mesh=mesh, p=p, node_values=rng.standard_normal(17),
+        u = FEFunction(mesh=mesh, node_values=rng.standard_normal(17),
                        node_slopes=rng.standard_normal(17),
                        bubbles=rng.standard_normal((16, p - 3)))
         end = np.array([u.node_values[-1], u.node_slopes[-1]])
@@ -560,7 +606,7 @@ class TestFEFunctionModes:
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=5,
                                    n_elements=16, kind="exp"))
         rng = np.random.default_rng(60)
-        u = FEFunction(mesh=mesh, p=5, node_values=rng.standard_normal(
+        u = FEFunction(mesh=mesh, node_values=rng.standard_normal(
             (17, 2)), node_slopes=rng.standard_normal((17, 2)),
             bubbles=rng.standard_normal((16, 2, 2)))
         out = u([0.5, 1.0], (1, 0, 2))
@@ -572,7 +618,7 @@ class TestFEFunctionModes:
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
         with pytest.raises(DimensionMismatch):
-            FEFunction(mesh=mesh, p=3, node_values=np.zeros((5, 2)),
+            FEFunction(mesh=mesh, node_values=np.zeros((5, 2)),
                        node_slopes=np.zeros(5))
 
 

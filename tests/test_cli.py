@@ -471,7 +471,8 @@ class TestConvergence:
                            "--out", str(tmp_path))
         assert rc == 2 and out == ""
         assert err.startswith("error: InvalidSpec: ")
-        assert len(err.splitlines()) == 1 and "--ref-n" in err
+        assert err == (f"error: InvalidSpec: the reference mesh size {ref_n} "
+                       f"must exceed the largest mesh size 16\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_refused_later_epsilon_leaves_no_file(self, tmp_path, capsys):
@@ -491,11 +492,19 @@ class TestConvergence:
         (("--n", "8,12,16", "--modes", "20", "--mesh", "uniform",
           "--epsilon", "1e-2"),
          "KTooLarge: asked for 20 modes, but the mesh with N=8 has 14 dofs"),
+        (("--n", "16,32,64", "--epsilon", "1e-3", "--preset", "custom",
+          "--a-expr", "1", "--b-expr", "x-0.5"),
+         "CoefficientViolation: b(x) = 'x-0.5' reaches -0.5 < 0"),
+        (("--n", "16,32,64", "--epsilon", "1e-3", "--preset", "custom",
+          "--a-expr", "1", "--b-expr", "1/(x-0.5)"),
+         "CoefficientViolation: b(x) = '1/(x-0.5)' is inf at x = 0.5, "
+         "not finite"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
     def test_refused_study_runs_no_solve_and_leaves_no_file(
             self, tmp_path, capsys, monkeypatch, argv, error):
-        # a collapsing mesh or too many modes is refused before the
-        # reference solve, and before any study file is opened
+        # a collapsing mesh, too many modes or a coefficient the probe
+        # refuses is refused before the reference solve, and before any
+        # study file is opened
         def no_solve(*args):
             raise AssertionError("solved before the refusal")
 

@@ -13,13 +13,12 @@ from oracle import dense_reduce, pencil_eigenvalues
 
 
 def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
-                     a=None, b=None, a_floor=1.0):
+                     a=None, b=None):
     mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
                                n_elements=n, kind=kind))
     coeffs = CoefficientSet(
         a=a if a is not None else (lambda x: np.ones_like(x)),
-        b=b if b is not None else (lambda x: np.zeros_like(x)),
-        a_floor=a_floor)
+        b=b if b is not None else (lambda x: np.zeros_like(x)))
     return assemble(mesh, coeffs)
 
 

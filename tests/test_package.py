@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -21,12 +22,18 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_error_exit_codes_distinct():
+def error_classes():
+    """HermevpError and every subclass of it."""
     seen, todo = [], [HermevpError]
     while todo:
         cls = todo.pop()
         seen.append(cls)
         todo.extend(cls.__subclasses__())
+    return seen
+
+
+def test_error_exit_codes_distinct():
+    seen = error_classes()
     codes = [cls.exit_code for cls in seen]
     assert len(seen) > 1
     assert len(set(codes)) == len(codes)
@@ -91,3 +98,33 @@ def test_readme_library_example_runs(capsys):
     # the flagship problem's lowest mode, as in the benchmark table
     assert lams[0] == pytest.approx(16.6801, rel=1e-5)
     assert len(capsys.readouterr().out.splitlines()) >= 3
+
+
+def test_readme_exit_code_table_names_every_error():
+    # one row per code from 2 to 19, each error named in its code's row
+    section = README.read_text().split("## Exit codes\n", 1)[1]
+    rows = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and cells[0].isdigit():
+            rows[int(cells[0])] = cells[1]
+    for cls in error_classes():
+        assert f"`{cls.__name__}`" in rows.get(cls.exit_code, ""), cls
+    assert sorted(rows) == list(range(2, 20))
+
+
+def test_derived_values_are_not_inputs():
+    # a_floor, an FEFunction's degree, a DofMap's degree and node indices
+    # and the study's samples per region are derived, never given
+    def settable(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert settable(hermevp.CoefficientSet) == ["a", "b"]
+    assert settable(hermevp.FEFunction) == ["mesh", "node_values",
+                                            "node_slopes", "bubbles"]
+    assert settable(hermevp.DofMap) == ["n_free", "bandwidth",
+                                        "element_dofs", "pairs"]
+    assert list(inspect.signature(hermevp.convergence_study).parameters) \
+        == ["ref_spec", "n_values", "coeffs", "config", "on_record"]
+    assert list(inspect.signature(hermevp.sample_points).parameters) \
+        == ["mesh"]

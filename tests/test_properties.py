@@ -60,8 +60,7 @@ def test_assembly_equals_full_matrix_oracle(mesh, preset, log_scale):
     base = resolve_coefficients(preset, None, None)
     scale = 10.0**log_scale
     coeffs = CoefficientSet(a=lambda x: scale * base.a(x),
-                            b=lambda x: scale * base.b(x),
-                            a_floor=scale * base.a_floor)
+                            b=lambda x: scale * base.b(x))
     K, M, _ = assemble(mesh, coeffs)
     k_band, m_band = full_matrix_bands(mesh, coeffs)
     assert np.array_equal(K.band, k_band)
@@ -75,7 +74,7 @@ def test_finest_assembly_equals_full_matrix_oracle(kind, p, scale):
     mesh = build_mesh(MeshSpec(epsilon=1e-8, beta=1.0, p=p,
                                n_elements=1024, kind=kind))
     coeffs = CoefficientSet(a=lambda x: scale * np.exp(x),
-                            b=lambda x: scale * x, a_floor=scale)
+                            b=lambda x: scale * x)
     K, M, _ = assemble(mesh, coeffs)
     k_band, m_band = full_matrix_bands(mesh, coeffs)
     assert np.array_equal(K.band, k_band)

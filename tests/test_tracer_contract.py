@@ -3,9 +3,10 @@ outside and reads three facts off their results: the order of assemble's
 K, the length of an FEFunction call's result and Spectrum.iterations.
 These tests run one traced op of each solving or studying command
 through hermevp.cli.main and check that every target is found, that the
-pipeline's calls are each recorded once per call made, and that every
-counter is a plain, finite Python int, so the benchmark's result line
-stays strict JSON.  Nothing under bench/ is changed.
+pipeline's calls and cli.resolve_coefficients, under which the
+coefficient probe runs, are each recorded once per call made, and that
+every counter is a plain, finite Python int, so the benchmark's result
+line stays strict JSON.  Nothing under bench/ is changed.
 """
 
 import importlib.util
@@ -35,19 +36,23 @@ def load_tracer():
 OPS = {
     "solve": (("solve", "--p", "5", "--n", "16", "--modes", "3",
                "--epsilon", "1e-06", "--mesh", "exp"),
-              {"assembly.assemble": 1, "eigensolver.solve_smallest": 1}),
+              {"cli.resolve_coefficients": 1, "assembly.assemble": 1,
+               "eigensolver.solve_smallest": 1}),
     # three rungs and the reference
     "convergence": (("convergence", "--p", "3", "--n", "16,32,64",
                      "--modes", "2", "--ref-n", "128", "--epsilon", "1e-06",
                      "--mesh", "exp"),
-                    {"analysis.compute_reference": 1,
+                    {"cli.resolve_coefficients": 1,
+                     "analysis.compute_reference": 1,
                      "assembly.assemble": 4, "eigensolver.solve_smallest": 4}),
     "table1": (("table1",),
-               {"assembly.assemble": 7, "eigensolver.solve_smallest": 7}),
+               {"cli.resolve_coefficients": 1, "assembly.assemble": 7,
+                "eigensolver.solve_smallest": 7}),
     "interp-study": (("interp-study", "--p", "3", "--n", "16,32,64",
                       "--epsilon", "1e-06", "--mesh", "exp"),
                      {"analysis.interp_rate_study": 1,
                       "element.hermite_interpolant": 3,
+                      "cli.resolve_coefficients": 0,
                       "assembly.assemble": 0,
                       "eigensolver.solve_smallest": 0}),
 }
