@@ -1,9 +1,10 @@
 """The discretize-and-solve pipeline, error measurement, interpolation
 and eigenvalue convergence studies, and log-log rate fitting.
 
-Errors against a reference are reported in percent.  Max-norm errors are
-relative to the sup of the reference over the sample set; the energy error
-uses the norm induced by the bilinear form,
+Errors against a reference are reported in percent, up to the sign an
+eigenvector lacks.  Max-norm errors are relative to the sup of the
+reference over the sample set; the energy error uses the norm induced by
+the bilinear form,
 
     |||v|||^2 = eps^2 ||v''||^2 + ||v'||^2 + ||v||^2,
 
@@ -33,33 +34,36 @@ from .mesh import Mesh, MeshKind, MeshSpec, build_mesh
 SIGN_RTOL = 1e-8
 
 
-def align_sign(u_samples: np.ndarray, ref_samples: np.ndarray) -> float:
-    """Return +1.0 or -1.0 so that sign * u matches the reference.
+def align_sign(u_samples: np.ndarray, ref_samples: np.ndarray):
+    """Return +1.0 or -1.0 so that sign * u matches the reference, one
+    per column of samples with a trailing mode axis.
 
     Eigenvectors come out of the solver with arbitrary sign; comparisons
     need the two orientations reconciled first.  Raises AmbiguousSign when
-    the sampled inner product is too close to zero to decide, which happens
-    when the samples miss the support or the modes do not match.
+    a column's sampled inner product is too close to zero to decide, which
+    happens when the samples miss the support or the modes do not match.
     """
     u = np.asarray(u_samples, dtype=float)
     r = np.asarray(ref_samples, dtype=float)
-    nu = np.linalg.norm(u)
-    nr = np.linalg.norm(r)
-    if nu == 0.0 or nr == 0.0:
+    nu = np.linalg.norm(u, axis=0)
+    nr = np.linalg.norm(r, axis=0)
+    if np.any(nu == 0.0) or np.any(nr == 0.0):
         raise ZeroVector("cannot align the sign of a zero sample vector")
-    ip = float(u @ r)
-    if abs(ip) < SIGN_RTOL * nu * nr:
+    ip = (u * r).sum(axis=0)
+    ambiguous = np.abs(ip) < SIGN_RTOL * nu * nr
+    if np.any(ambiguous):
         raise AmbiguousSign(
-            f"inner product {ip} is below {SIGN_RTOL} relative; "
-            "the two functions do not share a dominant component"
+            f"inner product {ip[ambiguous][0]} is below {SIGN_RTOL} "
+            "relative; the two functions do not share a dominant component"
         )
-    return 1.0 if ip > 0.0 else -1.0
+    return np.sign(ip)
 
 
 def energy_norm_error(u_h: FEFunction, u_ref: FEFunction, n_gauss: int = None):
-    """Percent error |||u_h - u_ref||| / |||u_ref||| * 100, with the eps of
-    u_ref's mesh spec, integrated with Gauss quadrature on the union of
-    the two meshes.
+    """Percent error |||u_h -+ u_ref||| / |||u_ref||| * 100 against the
+    nearer of +-u_ref, so either sign of u_h gives the same value bit for
+    bit, with the eps of u_ref's mesh spec, integrated with Gauss
+    quadrature on the union of the two meshes.
 
     The default rule has max(p_h, p_ref) + 1 points per interval: both
     functions are polynomials of degree <= p there, the integrands have
@@ -92,14 +96,14 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction, n_gauss: int = None):
                                 f"{dr.shape[2]}")
     errors = []
     for m in range(dh.shape[2]):
-        err_sq = 0.0
-        ref_sq = 0.0
+        minus = plus = ref_sq = 0.0
         for j, factor in enumerate((1.0, 1.0, u_ref.mesh.spec.epsilon**2)):
-            err_sq += factor * float(w @ (dh[:, j, m] - dr[:, j, m]) ** 2)
+            minus += factor * float(w @ (dh[:, j, m] - dr[:, j, m]) ** 2)
+            plus += factor * float(w @ (dh[:, j, m] + dr[:, j, m]) ** 2)
             ref_sq += factor * float(w @ dr[:, j, m]**2)
         if ref_sq <= 0.0:
             raise NonpositiveError("reference function has zero energy norm")
-        errors.append(100.0 * np.sqrt(err_sq / ref_sq))
+        errors.append(100.0 * np.sqrt(min(minus, plus) / ref_sq))
     return errors[0] if u_h.node_values.ndim == 1 else np.array(errors)
 
 
@@ -129,22 +133,23 @@ def sample_points(mesh: Mesh) -> np.ndarray:
     return np.unique(np.concatenate([pts, mesh.nodes]))
 
 
-def discrete_max_error(u_h_samples: np.ndarray,
-                       ref_samples: np.ndarray) -> float:
+def discrete_max_error(u_h_samples: np.ndarray, ref_samples: np.ndarray):
     """Percent sup-norm error of samples of u_h against samples of the
     reference at the same points, relative to the sup of the reference
-    there."""
+    there.  Samples with a trailing mode axis give one error per column,
+    a 1-D pair a scalar; the signs are the caller's to align."""
     dh = np.asarray(u_h_samples, dtype=float)
     dr = np.asarray(ref_samples, dtype=float)
     if dh.shape != dr.shape:
         raise DimensionMismatch(f"sample shapes {dh.shape} and {dr.shape} "
                                 "differ")
-    if dr.size < 2:
-        raise TooFewPoints(f"got {dr.size} evaluation points")
-    denom = float(np.abs(dr).max())
-    if denom <= 0.0:
+    n_points = len(dr) if dr.ndim else 1
+    if n_points < 2:
+        raise TooFewPoints(f"got {n_points} evaluation points")
+    denom = np.abs(dr).max(axis=0)
+    if np.any(denom <= 0.0):
         raise NonpositiveError("reference is identically zero on the samples")
-    return 100.0 * float(np.abs(dh - dr).max()) / denom
+    return 100.0 * np.abs(dh - dr).max(axis=0) / denom
 
 
 @dataclass(frozen=True)
@@ -159,8 +164,6 @@ class SlopeFit:
     slope: float
     intercept: float
     max_log_residual: float
-    ns: tuple
-    errors: tuple
 
 
 def fit_slope(ns: Sequence[float], errors: Sequence[float]) -> SlopeFit:
@@ -190,8 +193,7 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float]) -> SlopeFit:
     rate = float(x @ y) / sxx
     return SlopeFit(slope=-rate,
                     intercept=float(loge.mean() - rate * logn.mean()),
-                    max_log_residual=float(np.abs(y - rate * x).max()),
-                    ns=tuple(ns), errors=tuple(errors))
+                    max_log_residual=float(np.abs(y - rate * x).max()))
 
 
 @dataclass(frozen=True)
@@ -338,15 +340,13 @@ class StudyReport:
     def modes(self):
         return sorted({r.mode for r in self.records})
 
-    def series(self, mode: int, metric: str, vs: str = "N"):
-        if vs not in ("N", "dof"):
-            raise InvalidSpec(f"unknown abscissa {vs!r}")
-        ns = [getattr(r, vs) for r in self.records if r.mode == mode]
-        vals = [getattr(r, metric) for r in self.records if r.mode == mode]
-        return ns, vals
+    def series(self, mode: int, metric: str):
+        """mode's (dofs, values of metric): every fit is against dof."""
+        rows = [r for r in self.records if r.mode == mode]
+        return [r.dof for r in rows], [getattr(r, metric) for r in rows]
 
-    def order(self, mode: int, metric: str, vs: str = "N") -> SlopeFit:
-        return fit_slope(*self.series(mode, metric, vs))
+    def order(self, mode: int, metric: str) -> SlopeFit:
+        return fit_slope(*self.series(mode, metric))
 
     def slope_blocks(self) -> dict:
         """Fitted orders against dof per metric and mode, skipping series
@@ -356,7 +356,7 @@ class StudyReport:
             per_mode = {}
             for mode in self.modes():
                 try:
-                    fit = self.order(mode, metric, "dof")
+                    fit = self.order(mode, metric)
                 except (TooFewPoints, NonpositiveError):
                     continue
                 per_mode[str(mode)] = {
@@ -410,12 +410,10 @@ def convergence_study(ref_spec: MeshSpec, n_values: Sequence[int],
         # flipping the samples' sign is exact
         dh = rung.function(pts, (0, 1))
         dr = reference.function(pts, (0, 1))
-        signs = np.array([align_sign(dh[:, 0, m], dr[:, 0, m])
-                          for m in range(modes)])
-        dh *= signs
-        u_h = FEFunction.from_dof_vector(rung.mesh, rung.dofmap,
-                                         signs * rung.spectrum.eigenvectors)
-        energy = energy_norm_error(u_h, reference.function)
+        dh *= align_sign(dh[:, 0], dr[:, 0])
+        max_u, max_du = (discrete_max_error(dh[:, j], dr[:, j])
+                         for j in (0, 1))
+        energy = energy_norm_error(rung.function, reference.function)
         for m in range(modes):
             lam = float(rung.spectrum.eigenvalues[m])
             record = StudyRecord(
@@ -428,8 +426,8 @@ def convergence_study(ref_spec: MeshSpec, n_values: Sequence[int],
                 lambda_h=lam,
                 lambda_err_pct=100.0 * abs(lam - lam_ref[m]) / abs(lam_ref[m]),
                 energy_err_pct=float(energy[m]),
-                maxnorm_u_pct=discrete_max_error(dh[:, 0, m], dr[:, 0, m]),
-                maxnorm_du_pct=discrete_max_error(dh[:, 1, m], dr[:, 1, m]),
+                maxnorm_u_pct=float(max_u[m]),
+                maxnorm_du_pct=float(max_du[m]),
             )
             records.append(record)
             if on_record is not None:

@@ -26,7 +26,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import asdict, astuple, replace
 from functools import cache
 
 import numpy as np
@@ -66,12 +67,9 @@ TABLE_N_LADDER = (8, 12, 16, 20, 24, 28, 32)
 # the mode files sample every eigenfunction at these points and the nodes
 GRID_POINTS = 2001
 
-# the study CSV's columns, StudyRecord fields, also keyed in the JSON records
-CSV_COLUMNS = ("mesh_kind", "epsilon", "p", "N", "dof", "mode", "lambda_h",
-               "lambda_err_pct", "energy_err_pct", "maxnorm_u_pct",
-               "maxnorm_du_pct")
-CSV_KINDS = (str, float, int, int, int, int, float, float, float, float,
-             float)
+# the study CSV's columns and their kinds: StudyRecord's fields, in order,
+# which also key the JSON records
+CSV_COLUMNS, CSV_KINDS = zip(*typing.get_type_hints(StudyRecord).items())
 
 
 def make_expr_function(expr: str):
@@ -240,10 +238,12 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
         csv_path = stem + ".csv"
         with open(csv_path, "w", newline="") as fh:
             writer = CsvWriter(fh, CSV_COLUMNS, CSV_KINDS)
+            written = []
 
-            def flush(rec: StudyRecord, writer=writer, fh=fh):
-                writer.writerow([getattr(rec, c) for c in CSV_COLUMNS])
+            def flush(rec: StudyRecord):
+                writer.writerow(astuple(rec))
                 fh.flush()
+                written.append(rec)
 
             try:
                 report = convergence_study(spec, n_values, coeffs, solver,
@@ -251,13 +251,13 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
             except HermevpError as exc:
                 fh.write(f"# FAILED: {exc}\n")
                 fh.flush()
-                print(f"epsilon={eps:g}: failed after partial results "
-                      f"({csv_path}): {exc}", file=sys.stderr)
+                print(f"epsilon={eps:g}: failed after {len(written)} of "
+                      f"{solver.k * len(n_values)} records ({csv_path}): "
+                      f"{exc}", file=sys.stderr)
                 raise
 
         payload = {
-            "records": [{c: getattr(r, c) for c in CSV_COLUMNS}
-                        for r in report.records],
+            "records": [asdict(r) for r in report.records],
             "slopes": report.slope_blocks(),
         }
         with open(stem + ".json", "w") as fh:
@@ -267,7 +267,7 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
         for mode in report.modes():
             # the JSON's fits; refitting a series it skipped raises the
             # fit's refusal, which ends the command
-            lam, energy = (report.order(mode, metric, vs="dof").slope
+            lam, energy = (report.order(mode, metric).slope
                            for metric in ("lambda_err_pct", "energy_err_pct"))
             print(f"  mode {mode}: lambda error order {lam:.2f}, "
                   f"energy error order {energy:.2f} (vs dof)")

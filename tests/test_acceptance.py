@@ -160,8 +160,8 @@ class TestCriterion1Benchmark:
 class TestCriterion2EigenvalueRate:
     @pytest.mark.parametrize("eps", [1e-3, 1e-6])
     def test_lambda_error_order_vs_dof(self, studies, eps):
-        s1 = studies[eps].order(1, "lambda_err_pct", vs="dof").slope
-        s2 = studies[eps].order(2, "lambda_err_pct", vs="dof").slope
+        s1 = studies[eps].order(1, "lambda_err_pct").slope
+        s2 = studies[eps].order(2, "lambda_err_pct").slope
         ok = in_window(s1, LAMBDA_WINDOW) and in_window(s2, LAMBDA_WINDOW)
         detail = (f"eps={eps:g}: lambda error orders {s1:.3f}, {s2:.3f} "
                   f"(window {show(LAMBDA_WINDOW)})")
@@ -171,7 +171,7 @@ class TestCriterion2EigenvalueRate:
 class TestCriterion3EnergyRate:
     @pytest.mark.parametrize("eps", [1e-3, 1e-6])
     def test_energy_error_order_vs_dof(self, studies, eps):
-        s = studies[eps].order(1, "energy_err_pct", vs="dof").slope
+        s = studies[eps].order(1, "energy_err_pct").slope
         ok = in_window(s, ENERGY_WINDOW)
         detail = (f"eps={eps:g}: energy error order {s:.3f} "
                   f"(window {show(ENERGY_WINDOW)})")
@@ -181,9 +181,9 @@ class TestCriterion3EnergyRate:
 class TestCriterion4EpsilonRobustness:
     @pytest.mark.parametrize("eps", EPS_LADDER)
     def test_orders_hold_for_every_epsilon(self, studies, eps):
-        s1 = studies[eps].order(1, "lambda_err_pct", vs="dof").slope
-        s2 = studies[eps].order(2, "lambda_err_pct", vs="dof").slope
-        se = studies[eps].order(1, "energy_err_pct", vs="dof").slope
+        s1 = studies[eps].order(1, "lambda_err_pct").slope
+        s2 = studies[eps].order(2, "lambda_err_pct").slope
+        se = studies[eps].order(1, "energy_err_pct").slope
         ok = (in_window(s1, LAMBDA_WINDOW) and in_window(s2, LAMBDA_WINDOW)
               and in_window(se, ENERGY_WINDOW))
         detail = (f"eps={eps:g}: lambda orders {s1:.3f}, {s2:.3f} "

@@ -530,6 +530,25 @@ class TestConvergence:
                        f"study_eps{first:g}.csv\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_reference_claims_no_records(self, tmp_path, capsys):
+        # a passes the probe (it is 1 at every k/4096) but dips below zero
+        # at a quadrature point of the reference's assembly, so the study
+        # fails before its first record
+        rc, out, err = run(capsys, "convergence", "--p", "3",
+                           "--n", "16,32,64", "--epsilon", "1e-3",
+                           "--preset", "custom",
+                           "--a-expr", "1 + 2*sin(4096*pi*x)",
+                           "--b-expr", "0", "--out", str(tmp_path))
+        csv_path = tmp_path / "study_eps0.001.csv"
+        assert (rc, out) == (8, "")
+        first, second = err.splitlines()
+        assert first.startswith(f"epsilon=0.001: failed after 0 of 3 "
+                                f"records ({csv_path}): a(x) = ")
+        assert second.startswith("error: CoefficientViolation: a(x) = ")
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == ",".join(cli.CSV_COLUMNS)
+        assert len(lines) == 2 and lines[1].startswith("# FAILED: a(x) = ")
+
     def test_zero_reference_size_rejected(self, tmp_path, capsys):
         rc, _, err = run(capsys, "convergence", "--n", "8,12,16",
                          "--epsilon", "1e-2", "--ref-n", "0",

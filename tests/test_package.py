@@ -115,7 +115,8 @@ def test_readme_exit_code_table_names_every_error():
 
 def test_derived_values_are_not_inputs():
     # a_floor, an FEFunction's degree, a DofMap's degree and node indices
-    # and the study's samples per region are derived, never given
+    # and the study's samples per region are derived, and its fits'
+    # abscissa is fixed: none of them is given
     def settable(cls):
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
@@ -128,3 +129,9 @@ def test_derived_values_are_not_inputs():
         == ["ref_spec", "n_values", "coeffs", "config", "on_record"]
     assert list(inspect.signature(hermevp.sample_points).parameters) \
         == ["mesh"]
+    # every study fit is taken against dof, and a fit holds only its line
+    for method in (hermevp.StudyReport.series, hermevp.StudyReport.order):
+        assert list(inspect.signature(method).parameters) \
+            == ["self", "mode", "metric"]
+    assert settable(hermevp.SlopeFit) == ["slope", "intercept",
+                                          "max_log_residual"]
