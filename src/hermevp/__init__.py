@@ -21,8 +21,8 @@ from .element import (HermiteData, PiecewiseFunction, QuadRule, ShapeTable,
                       eval_layer_function, gauss_rule, hermite_basis,
                       hermite_interpolant, shape_table)
 from .errors import (AmbiguousSign, AssumptionViolated, BadGrouping,
-                     CoefficientViolation, DegreeTooLow, DimensionMismatch,
-                     HermevpError, InvalidLayerWidth, InvalidSpec, KTooLarge,
+                     CoefficientViolation, DimensionMismatch, HermevpError,
+                     InvalidLayerWidth, InvalidSpec, KTooLarge,
                      NoConvergence, NonpositiveError, NotPositiveDefinite,
                      RegionOverlap, TooFewPoints, WrongMeshKind, ZeroVector)
 from .mesh import (BoundsReport, Mesh, MeshKind, MeshSpec, Region, build_mesh,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousSign", "AssumptionViolated", "BadGrouping", "BoundsReport",
-    "CoefficientSet", "CoefficientViolation", "DegreeTooLow",
-    "DimensionMismatch", "DofMap", "FEFunction",
+    "CoefficientSet", "CoefficientViolation", "DimensionMismatch",
+    "DofMap", "FEFunction",
     "HermevpError", "HermiteData", "InterpRecord", "InterpReport",
     "InvalidLayerWidth", "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
     "MeshSpec", "NoConvergence", "NonpositiveError",

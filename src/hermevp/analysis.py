@@ -59,22 +59,20 @@ def align_sign(u_samples: np.ndarray, ref_samples: np.ndarray):
     return np.sign(ip)
 
 
-def energy_norm_error(u_h: FEFunction, u_ref: FEFunction, n_gauss: int = None):
+def energy_norm_error(u_h: FEFunction, u_ref: FEFunction):
     """Percent error |||u_h -+ u_ref||| / |||u_ref||| * 100 against the
     nearer of +-u_ref, so either sign of u_h gives the same value bit for
     bit, with the eps of u_ref's mesh spec, integrated with Gauss
     quadrature on the union of the two meshes.
 
-    The default rule has max(p_h, p_ref) + 1 points per interval: both
+    The rule has max(p_h, p_ref) + 1 points per interval: both
     functions are polynomials of degree <= p there, the integrands have
     degree <= 2p, and p+1 Gauss points are exact to degree 2p+1.  A u_h
     with a mode axis gives one error per mode, against u_ref's modes in
     order, each equal bit for bit to the single-mode call; u_ref may hold
     more modes than u_h."""
     breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
-    if n_gauss is None:
-        n_gauss = max(u_h.p, u_ref.p) + 1
-    rule = gauss_rule(n_gauss)
+    rule = gauss_rule(max(u_h.p, u_ref.p) + 1)
     widths = np.diff(breaks)
     w = (widths[:, None] * rule.weights[None, :]).ravel()
 
@@ -198,7 +196,13 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float]) -> SlopeFit:
 
 @dataclass(frozen=True)
 class InterpRecord:
-    n_elements: int
+    """One rung of an interpolation ladder, one row of interp.csv."""
+
+    mesh_kind: str
+    epsilon: float
+    beta: float
+    p: int
+    N: int
     max_err: float          # sup |f - I f|
     max_err_d1: float       # sup |(f - I f)'|
     scaled_h2_err: float    # sqrt(eps) * |f - I f|_{H^2}
@@ -206,16 +210,11 @@ class InterpRecord:
 
 @dataclass(frozen=True)
 class InterpReport:
-    mesh_kind: MeshKind
-    epsilon: float
-    beta: float
-    p: int
     records: tuple
 
     def series(self, metric: str):
-        ns = [r.n_elements for r in self.records]
-        vals = [getattr(r, metric) for r in self.records]
-        return ns, vals
+        return ([r.N for r in self.records],
+                [getattr(r, metric) for r in self.records])
 
     def order(self, metric: str) -> SlopeFit:
         return fit_slope(*self.series(metric))
@@ -252,12 +251,10 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
         mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
                                    n_elements=n, kind=kind))
         nodes = mesh.nodes
-        data = HermiteData(
-            nodes=nodes,
-            values=eval_layer_function(nodes, epsilon, beta),
-            slopes=eval_layer_function(nodes, epsilon, beta, deriv=1),
-        )
-        interp = hermite_interpolant(data, group)
+        values, slopes = eval_layer_function(nodes, epsilon, beta,
+                                             deriv=(0, 1)).T
+        interp = hermite_interpolant(
+            HermiteData(nodes=nodes, values=values, slopes=slopes), group)
 
         x0 = (nodes[:-1, None] + mesh.widths[:, None] * xi[None, :]).ravel()
         # values and slopes in one located pass, turned in place into the
@@ -273,23 +270,22 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
         h2 = np.sqrt(epsilon) * np.sqrt(float(wg @ d2**2))
 
         records.append(InterpRecord(
-            n_elements=n,
-            max_err=float(e0),
-            max_err_d1=float(e1),
-            scaled_h2_err=h2,
-        ))
-    return InterpReport(mesh_kind=kind, epsilon=epsilon, beta=beta, p=p,
-                        records=tuple(records))
+            mesh_kind=kind.value, epsilon=epsilon, beta=beta, p=p, N=n,
+            max_err=float(e0), max_err_d1=float(e1), scaled_h2_err=h2))
+    return InterpReport(records=tuple(records))
 
 
 @dataclass(frozen=True)
 class Solution:
     """What solve returns; function holds every mode, along its last axis."""
 
-    mesh: Mesh
     dofmap: DofMap
     spectrum: Spectrum
     function: FEFunction
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.function.mesh
 
 
 def solve(spec: MeshSpec, coeffs: CoefficientSet,
@@ -299,7 +295,7 @@ def solve(spec: MeshSpec, coeffs: CoefficientSet,
     mesh = build_mesh(spec)
     K, M, dofmap = assemble(mesh, coeffs)
     spectrum = solve_smallest(K, M, config)
-    return Solution(mesh=mesh, dofmap=dofmap, spectrum=spectrum,
+    return Solution(dofmap=dofmap, spectrum=spectrum,
                     function=FEFunction.from_dof_vector(
                         mesh, dofmap, spectrum.eigenvectors))
 
@@ -372,10 +368,14 @@ class StudyReport:
 
 def check_study(ref_spec: MeshSpec, n_values: Sequence[int],
                 config: SolverConfig) -> None:
-    """Refuse, before any solve, a ladder no study could score: a
-    reference no finer than its largest size, or config.k at or above its
-    smallest mesh's free dofs."""
+    """Refuse, before any solve, a ladder no study could score: a mesh,
+    the reference's or a rung's, that build_mesh refuses (such as an
+    epsilon so small that its nodes collapse), a reference no finer than
+    its largest size, or config.k at or above its smallest mesh's free
+    dofs.  build_mesh caches each mesh, so the study's solves reuse them."""
     n_ref, n_min, n_max = ref_spec.n_elements, min(n_values), max(n_values)
+    for n in (n_ref, *n_values):
+        build_mesh(replace(ref_spec, n_elements=n))
     if n_ref <= n_max:
         raise InvalidSpec(f"the reference mesh size {n_ref} must exceed "
                           f"the largest mesh size {n_max}")

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
-from .errors import BadGrouping, DegreeTooLow, DimensionMismatch, InvalidSpec
+from .errors import BadGrouping, DimensionMismatch, InvalidSpec
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def _basis_coeffs(p: int) -> np.ndarray:
     """Power-basis coefficients (p+1, p+1) of the reference shapes, low order
     first, one row per shape function."""
     if p < 3:
-        raise DegreeTooLow(f"C1 Hermite elements need degree >= 3, got {p}")
+        raise InvalidSpec(f"C1 Hermite elements need degree >= 3, got {p}")
     rows = [
         [1.0, 0.0, -3.0, 2.0],   # H00
         [0.0, 1.0, -2.0, 1.0],   # H10

@@ -74,12 +74,6 @@ class NotPositiveDefinite(HermevpError):
     exit_code = 12
 
 
-class DegreeTooLow(HermevpError):
-    """Element degree below the C1 minimum of 3."""
-
-    exit_code = 13
-
-
 class BadGrouping(HermevpError):
     """Interpolation group size does not divide the number of elements."""
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +70,16 @@ class MeshSpec:
             raise InvalidSpec(f"element degree must be an integer >= 3, got {self.p}")
         if int(self.n_elements) != self.n_elements or self.n_elements < 1:
             raise InvalidSpec(f"n_elements must be a positive integer, got {self.n_elements}")
-        kind = MeshKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind in (MeshKind.EXP, MeshKind.SHISHKIN):
+        # equal specs share one cached mesh, whose spec must not tell them
+        # apart: p = 3.0 is stored as 3
+        for name, cast in (("p", int), ("n_elements", int),
+                           ("kind", MeshKind)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        if self.kind in (MeshKind.EXP, MeshKind.SHISHKIN):
             if self.n_elements <= 4 or self.n_elements % 4 != 0:
                 raise InvalidSpec(
-                    f"{kind.value} meshes need n_elements > 4 and divisible by 4, "
-                    f"got {self.n_elements}"
+                    f"{self.kind.value} meshes need n_elements > 4 and "
+                    f"divisible by 4, got {self.n_elements}"
                 )
 
     @property
@@ -169,9 +173,12 @@ def _layout(spec: MeshSpec, layer: np.ndarray, middle: np.ndarray) -> Mesh:
     return Mesh(spec=spec, nodes=nodes, widths=widths, n_layer=len(layer) - 1)
 
 
+@lru_cache(maxsize=32)
 def build_mesh(spec: MeshSpec) -> Mesh:
     """The spec's mesh: its family's left layer and middle nodes, laid out
-    with the mirrored right layer by _layout."""
+    with the mirrored right layer by _layout.  Cached, as shape_table is:
+    the spec is frozen and the mesh read-only, so a study's checks, its
+    reference and its rungs share one mesh per spec."""
     N, p = spec.n_elements, spec.p
     scale = spec.layer_scale
     if spec.kind is MeshKind.UNIFORM:

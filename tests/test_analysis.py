@@ -222,10 +222,12 @@ class TestEnergyNormError:
     @pytest.mark.parametrize("kind", ["exp", "shishkin"])
     @pytest.mark.parametrize("p", [3, 4, 5])
     @pytest.mark.parametrize("data", ["smooth", "rough"])
-    def test_default_rule_is_exact(self, data, p, kind, epsilon):
+    def test_default_rule_is_exact(self, monkeypatch, data, p, kind,
+                                   epsilon):
         # both functions are degree-p polynomials on each union interval,
         # so p+1 Gauss points integrate the degree-2p integrands exactly
-        # and longer rules can only add rounding.  Smooth data keep the
+        # and longer rules, put in place of the p+1 point rule the error
+        # asks for, can only add rounding.  Smooth data keep the
         # L2 part, the one integrand of full degree 2p, from being swamped,
         # so a rule one point short shows.  Rough data have derivatives of
         # size 1/h, which put the energy on the layer elements, where
@@ -250,9 +252,16 @@ class TestEnergyNormError:
 
         u_h, u_ref = random_function(16, 1), random_function(48, 2)
         default = energy_norm_error(u_h, u_ref)
+        asked = []
         for n_gauss in (2 * p, 12):
-            longer = energy_norm_error(u_h, u_ref, n_gauss=n_gauss)
+            def longer_rule(n_points, n_gauss=n_gauss):
+                asked.append(n_points)
+                return gauss_rule(n_gauss)
+
+            monkeypatch.setattr(hermevp.analysis, "gauss_rule", longer_rule)
+            longer = energy_norm_error(u_h, u_ref)
             assert default == pytest.approx(longer, rel=1e-13, abs=0.0)
+        assert asked == [p + 1, p + 1]
 
 
 class TestDiscreteMaxError:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -549,6 +550,15 @@ class TestConvergence:
         assert lines[0] == ",".join(cli.CSV_COLUMNS)
         assert len(lines) == 2 and lines[1].startswith("# FAILED: a(x) = ")
 
+    def test_study_builds_each_mesh_once(self, tmp_path, capsys):
+        # the benchmark's study op: the reference and four rungs are built
+        # once each, then shared by the checks and the solves
+        build_mesh.cache_clear()
+        rc, _, _ = run(capsys, "convergence", "--p", "3",
+                       "--n", "16,32,64,128", "--modes", "2",
+                       "--ref-n", "1024", "--out", str(tmp_path))
+        assert rc == 0 and build_mesh.cache_info().misses == 5
+
     def test_zero_reference_size_rejected(self, tmp_path, capsys):
         rc, _, err = run(capsys, "convergence", "--n", "8,12,16",
                          "--epsilon", "1e-2", "--ref-n", "0",
@@ -591,6 +601,13 @@ class TestInterpStudy:
         rows = read_rows(tmp_path / "interp.csv")
         assert len(rows) == 3
         assert float(rows[0]["max_err"]) > float(rows[-1]["max_err"])
+
+    def test_columns_are_the_record_fields(self, tmp_path, capsys):
+        rc, _, _ = run(capsys, "interp-study", "--epsilon", "1e-3",
+                       "--n", "16,32", "--out", str(tmp_path))
+        header = (tmp_path / "interp.csv").read_text().splitlines()[0]
+        fields = dataclasses.fields(hermevp.InterpRecord)
+        assert rc == 0 and header == ",".join(f.name for f in fields)
 
 
     def test_one_size_refused_before_writing(self, tmp_path, capsys):

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hermevp import (BadGrouping, DegreeTooLow, DimensionMismatch,
-                     HermiteData, InvalidSpec, MeshSpec, PiecewiseFunction,
+from hermevp import (BadGrouping, DimensionMismatch, HermiteData,
+                     InvalidSpec, MeshSpec, PiecewiseFunction,
                      build_mesh, gauss_rule, hermite_basis,
                      hermite_interpolant, shape_table)
 from hermevp.element import eval_layer_function, piecewise_eval
@@ -93,7 +93,7 @@ class TestHermiteBasis:
         assert out.shape == (p + 1, len(s)) and out.flags.c_contiguous
 
     def test_degree_below_three_rejected(self):
-        with pytest.raises(DegreeTooLow):
+        with pytest.raises(InvalidSpec, match="need degree >= 3, got 2"):
             hermite_basis(2, np.array([0.5]))
 
     def test_negative_derivative_order_rejected(self):

@@ -46,6 +46,15 @@ class TestMeshSpec:
                         kind="uniform")
         assert build_mesh(spec).n_elements == 5
 
+    def test_equal_specs_share_one_mesh(self):
+        # build_mesh caches by spec, so a spec with p = 3.0 must be stored
+        # as the p = 3 it equals, or the shared mesh would carry either
+        spec = MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16, kind="exp")
+        same = MeshSpec(epsilon=1e-3, beta=1.0, p=3.0, n_elements=16.0,
+                        kind=MeshKind.EXP)
+        assert (type(same.p), type(same.n_elements)) == (int, int)
+        assert build_mesh(same) is build_mesh(spec)
+
     def test_unknown_kind(self):
         with pytest.raises((InvalidSpec, ValueError)):
             MeshSpec(epsilon=1e-3, beta=1.0, p=3, n_elements=16,

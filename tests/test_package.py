@@ -89,6 +89,16 @@ def test_one_pipeline():
     assert len(calls_to(solve, "solve_smallest")) == 1
 
 
+def test_cli_builds_meshes_only_for_mesh_dump():
+    # a study's meshes are built, once each, by the analysis module; the
+    # command-line module builds one only to write it out
+    tree = ast.parse(inspect.getsource(hermevp.cli))
+    calls = {node.name: len(calls_to(node, "build_mesh"))
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name: n for name, n in calls.items() if n} == {"cmd_mesh_dump": 1}
+    assert len(calls_to(tree, "build_mesh")) == 1
+
+
 def test_readme_library_example_runs(capsys):
     section = README.read_text().split("## Library use\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
@@ -114,9 +124,11 @@ def test_readme_exit_code_table_names_every_error():
 
 
 def test_derived_values_are_not_inputs():
-    # a_floor, an FEFunction's degree, a DofMap's degree and node indices
-    # and the study's samples per region are derived, and its fits'
-    # abscissa is fixed: none of them is given
+    # a_floor, an FEFunction's degree, a DofMap's degree and node indices,
+    # a Solution's mesh, the energy error's Gauss rule and the study's
+    # samples per region are derived, and its fits' abscissa is fixed:
+    # none of them is given; an interpolation ladder's settings live in
+    # its rows
     def settable(cls):
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
@@ -129,6 +141,10 @@ def test_derived_values_are_not_inputs():
         == ["ref_spec", "n_values", "coeffs", "config", "on_record"]
     assert list(inspect.signature(hermevp.sample_points).parameters) \
         == ["mesh"]
+    assert settable(hermevp.Solution) == ["dofmap", "spectrum", "function"]
+    assert list(inspect.signature(hermevp.energy_norm_error).parameters) \
+        == ["u_h", "u_ref"]
+    assert settable(hermevp.InterpReport) == ["records"]
     # every study fit is taken against dof, and a fit holds only its line
     for method in (hermevp.StudyReport.series, hermevp.StudyReport.order):
         assert list(inspect.signature(method).parameters) \
