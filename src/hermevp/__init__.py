@@ -2,9 +2,10 @@
 C1 Hermite finite elements on layer-adapted meshes.
 
 solve(spec, coeffs, config) runs the whole chain on a MeshSpec and a
-CoefficientSet: build_mesh, assemble and solve_smallest, returning a
-Solution with the eigenpairs and every mode as one FEFunction.  The
-analysis helpers measure errors and rates.
+CoefficientSet: build_mesh, a Space of degree p on the mesh, assemble and
+solve_smallest, returning a Solution with the space, the eigenpairs and
+every mode as one FEFunction.  The analysis helpers measure errors and
+rates.
 """
 
 from .analysis import (InterpRecord, InterpReport, SlopeFit, Solution,
@@ -13,8 +14,8 @@ from .analysis import (InterpRecord, InterpReport, SlopeFit, Solution,
                        default_reference_n, discrete_max_error,
                        energy_norm_error, fit_slope, interp_rate_study,
                        sample_points, solve)
-from .assembly import (CoefficientSet, DofMap, FEFunction, SymBandMatrix,
-                       assemble, build_dof_map, element_matrices)
+from .assembly import (CoefficientSet, FEFunction, Space, SymBandMatrix,
+                       assemble, element_matrices)
 from .eigensolver import (SolverConfig, Spectrum, residual_norms,
                           solve_smallest)
 from .element import (HermiteData, PiecewiseFunction, QuadRule, ShapeTable,
@@ -33,16 +34,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousSign", "AssumptionViolated", "BadGrouping", "BoundsReport",
     "CoefficientSet", "CoefficientViolation", "DimensionMismatch",
-    "DofMap", "FEFunction",
+    "FEFunction",
     "HermevpError", "HermiteData", "InterpRecord", "InterpReport",
     "InvalidLayerWidth", "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
     "MeshSpec", "NoConvergence", "NonpositiveError",
     "NotPositiveDefinite", "PiecewiseFunction", "QuadRule",
     "Region", "RegionOverlap", "ShapeTable",
-    "SlopeFit", "Solution", "SolverConfig", "Spectrum", "StudyRecord",
-    "StudyReport", "SymBandMatrix", "TooFewPoints", "WrongMeshKind",
-    "ZeroVector", "align_sign", "assemble", "build_dof_map",
-    "build_mesh", "check_mesh_bounds", "compute_reference",
+    "SlopeFit", "Solution", "SolverConfig", "Space", "Spectrum",
+    "StudyRecord", "StudyReport", "SymBandMatrix", "TooFewPoints",
+    "WrongMeshKind", "ZeroVector", "align_sign", "assemble", "build_mesh",
+    "check_mesh_bounds", "compute_reference",
     "convergence_study", "default_reference_n", "discrete_max_error",
     "element_matrices", "energy_norm_error", "eval_layer_function",
     "fit_slope", "gauss_rule", "hermite_basis", "hermite_interpolant",

@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import (CoefficientSet, DofMap, FEFunction, assemble,
-                       build_dof_map)
+from .assembly import CoefficientSet, FEFunction, Space, assemble
 from .eigensolver import SolverConfig, Spectrum, solve_smallest
 from .element import (HermiteData, eval_layer_function, gauss_rule,
                       hermite_interpolant)
@@ -168,7 +167,7 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float]) -> SlopeFit:
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if len(ns) != len(errors):
-        raise TooFewPoints(
+        raise DimensionMismatch(
             f"mismatched lengths: {len(ns)} sizes vs {len(errors)} errors"
         )
     if len(ns) < 2:
@@ -279,25 +278,26 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
 class Solution:
     """What solve returns; function holds every mode, along its last axis."""
 
-    dofmap: DofMap
+    space: Space
     spectrum: Spectrum
     function: FEFunction
 
     @property
     def mesh(self) -> Mesh:
-        return self.function.mesh
+        return self.space.mesh
 
 
 def solve(spec: MeshSpec, coeffs: CoefficientSet,
           config: SolverConfig) -> Solution:
-    """The paper's chain on one mesh: build it, assemble the degree
-    spec.p pencil, and solve for its config.k smallest eigenpairs."""
-    mesh = build_mesh(spec)
-    K, M, dofmap = assemble(mesh, coeffs)
+    """The paper's chain on one mesh: build it, assemble the pencil of
+    its degree spec.p space, and solve for its config.k smallest
+    eigenpairs."""
+    space = Space(build_mesh(spec), spec.p)
+    K, M = assemble(space, coeffs)
     spectrum = solve_smallest(K, M, config)
-    return Solution(dofmap=dofmap, spectrum=spectrum,
+    return Solution(space=space, spectrum=spectrum,
                     function=FEFunction.from_dof_vector(
-                        mesh, dofmap, spectrum.eigenvectors))
+                        space, spectrum.eigenvectors))
 
 
 def default_reference_n(n_values: Sequence[int]) -> int:
@@ -374,12 +374,12 @@ def check_study(ref_spec: MeshSpec, n_values: Sequence[int],
     its largest size, or config.k at or above its smallest mesh's free
     dofs.  build_mesh caches each mesh, so the study's solves reuse them."""
     n_ref, n_min, n_max = ref_spec.n_elements, min(n_values), max(n_values)
-    for n in (n_ref, *n_values):
-        build_mesh(replace(ref_spec, n_elements=n))
+    meshes = {n: build_mesh(replace(ref_spec, n_elements=n))
+              for n in (n_ref, *n_values)}
     if n_ref <= n_max:
         raise InvalidSpec(f"the reference mesh size {n_ref} must exceed "
                           f"the largest mesh size {n_max}")
-    n_free = build_dof_map(n_min, ref_spec.p).n_free
+    n_free = Space(meshes[n_min], ref_spec.p).n_free
     if config.k >= n_free:
         raise KTooLarge(f"asked for {config.k} modes, but the mesh with "
                         f"N={n_min} has {n_free} dofs, of which "
@@ -421,7 +421,7 @@ def convergence_study(ref_spec: MeshSpec, n_values: Sequence[int],
                 epsilon=epsilon,
                 p=ref_spec.p,
                 N=n,
-                dof=rung.dofmap.n_free,
+                dof=rung.space.n_free,
                 mode=m + 1,
                 lambda_h=lam,
                 lambda_err_pct=100.0 * abs(lam - lam_ref[m]) / abs(lam_ref[m]),

@@ -3,6 +3,9 @@
     B(u, v) = eps^2 (u'', v'') + (a u', v') + (b u, v)
 
 in the C1 Hermite space with clamped ends u(0) = u'(0) = u(1) = u'(1) = 0.
+One Space(mesh, degree) is that space: it owns the dof layout, the shape
+table and the mapped quadrature points, and assemble, FEFunction and the
+analysis pipeline read them from it.
 
 Global dof layout interleaves (value, slope) pairs in node order, with each
 element's bubble coefficients appended right after its left node's pair; the
@@ -18,7 +21,6 @@ and eig_banded expect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -132,53 +134,48 @@ class SymBandMatrix:
 
 
 @dataclass(frozen=True)
-class DofMap:
-    """Free-dof numbering with the clamped end dofs eliminated."""
+class Space:
+    """The C1 Hermite space of degree p >= 3 on mesh, clamped end dofs
+    eliminated.  The rest is derived when it is made, every array
+    read-only: n_free and the band's bandwidth; element_dofs, shape
+    (n_elements, p+1), with -1 at an eliminated dof; pairs, shape (2, m),
+    the local (row, column) pairs the band keeps, row-major; shapes, the
+    shared shape_table(degree); and points, shape (n_elements, n_gauss),
+    the quadrature points mapped to each element."""
 
-    n_free: int
-    bandwidth: int
-    element_dofs: np.ndarray      # (n_elements, p+1), -1 for eliminated dofs
-    pairs: np.ndarray             # (2, (p+1)(p+2)/2) local (row, column)
+    mesh: Mesh
+    degree: int
+    n_free: int = field(init=False)
+    bandwidth: int = field(init=False)
+    element_dofs: np.ndarray = field(init=False, repr=False)
+    pairs: np.ndarray = field(init=False, repr=False)
+    shapes: ShapeTable = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.element_dofs, self.pairs):
-            arr.setflags(write=False)
-
-
-def build_dof_map(n_elements: int, p: int) -> DofMap:
-    if p < 3:
-        raise InvalidSpec(f"element degree must be >= 3, got {p}")
-    if n_elements < 1:
-        raise InvalidSpec(f"need at least one element, got {n_elements}")
-    N = n_elements
-    # node i's (value, slope) pair sits at (p-3) + (i-1)(p-1) and element
-    # e's bubbles start at e(p-1)
-    node = np.arange(N + 1)
-    interior = (node > 0) & (node < N)
-    node_value = np.where(interior, (p - 3) + (node - 1) * (p - 1), -1)
-    node_slope = np.where(interior, node_value + 1, -1)
-    e = np.arange(N)
-    bubbles = e[:, None] * (p - 1) + np.arange(p - 3)
-    element_dofs = np.column_stack([node_value[:-1], node_slope[:-1],
-                                    node_value[1:], node_slope[1:], bubbles])
-    n_free = 2 * (N - 1) + N * (p - 3)
-
-    # free dofs of element e span [e(p-1) - 2, (e+1)(p-1) - 1], clipped
-    lowest = np.maximum(e * (p - 1) - 2, 0)
-    highest = np.minimum((e + 1) * (p - 1) - 1, n_free - 1)
-    bandwidth = max(int((highest - lowest).max()), 0)
-    return DofMap(n_free=n_free, bandwidth=bandwidth,
-                  element_dofs=element_dofs, pairs=_kept_pairs(p))
-
-
-@lru_cache(maxsize=32)
-def _kept_pairs(p: int) -> np.ndarray:
-    """The local (row, column) pairs the band keeps, shape (2, m): an
-    element's local dofs sit at these offsets from e(p-1), so its entries
-    in the band's upper triangle are (i, j) with offset[i] <= offset[j].
-    They run row-major, the order of the (p+1)^2 local entries."""
-    offset = np.concatenate([[-2, -1, p - 3, p - 2], np.arange(p - 3)])
-    return np.array(np.nonzero(offset[:, None] <= offset))
+        p, N = self.degree, self.mesh.n_elements
+        shapes = shape_table(p)                 # refuses p < 3
+        # element e's local dofs (left pair, right pair, bubbles) sit at
+        # these offsets from e(p-1); the clamped end pairs fall outside
+        # [0, n_free), and the band keeps (i, j) with offset[i] <= offset[j]
+        offset = np.concatenate([[-2, -1, p - 3, p - 2], np.arange(p - 3)])
+        n_free = N * (p - 1) - 2
+        dofs = (p - 1) * np.arange(N)[:, None] + offset
+        # free dofs of element e span [e(p-1) - 2, (e+1)(p-1) - 1], clipped
+        lowest = np.maximum(dofs[:, 0], 0)
+        highest = np.minimum(dofs[:, 3], n_free - 1)
+        points = (self.mesh.nodes[:-1, None] + self.mesh.widths[:, None]
+                  * shapes.rule.points[None, :])
+        for name, value in (
+                ("n_free", n_free),
+                ("bandwidth", max(int((highest - lowest).max()), 0)),
+                ("element_dofs",
+                 np.where((dofs >= 0) & (dofs < n_free), dofs, -1)),
+                ("pairs", np.array(np.nonzero(offset[:, None] <= offset))),
+                ("shapes", shapes), ("points", points)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def element_matrices(h, shapes: ShapeTable, epsilon: float,
@@ -188,7 +185,7 @@ def element_matrices(h, shapes: ShapeTable, epsilon: float,
     (n_el,), with coefficient samples a_vals, b_vals of shape (n_el, nq)
     at the mapped quadrature points: two (n_el, m) arrays, one column per
     local (row, column) pair of pairs, of shape (2, m).  Assembly passes
-    the band's kept triangle, DofMap.pairs; every pair of the (p+1)^2
+    the band's kept triangle, Space.pairs; every pair of the (p+1)^2
     gives the full local matrices.  Each entry is the same product of the
     same factors whichever pairs are asked for.  One element is a batch
     of one.
@@ -210,28 +207,24 @@ def element_matrices(h, shapes: ShapeTable, epsilon: float,
     return k_loc, m_loc
 
 
-def assemble(mesh: Mesh, coeffs: CoefficientSet):
-    """Assemble (K, M, dofmap) over the mesh, with the degree p and the
-    eps of the eps^2 term both read from mesh.spec.
+def assemble(space: Space, coeffs: CoefficientSet):
+    """Assemble (K, M) over the space, with the eps of the eps^2 term read
+    from its mesh's spec.
 
-    Coefficients are sampled at the mapped quadrature points of every
-    element through coeffs.sample, which holds them to its rules.
+    Coefficients are sampled at space.points through coeffs.sample, which
+    holds them to its rules.
     """
-    shapes = shape_table(mesh.spec.p)
-    widths = mesh.widths
-    a_at, b_at = coeffs.sample(mesh.nodes[:-1, None]
-                               + widths[:, None] * shapes.rule.points[None, :])
-
-    dofmap = build_dof_map(mesh.n_elements, shapes.p)
-    if dofmap.n_free == 0:
+    a_at, b_at = coeffs.sample(space.points)
+    if space.n_free == 0:
         raise InvalidSpec("no free dofs: mesh too small for clamped ends")
-    K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-    M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-    index = K.band_index(dofmap.element_dofs, dofmap.pairs)  # M's as well
+    K = SymBandMatrix(space.n_free, space.bandwidth)
+    M = SymBandMatrix(space.n_free, space.bandwidth)
+    index = K.band_index(space.element_dofs, space.pairs)   # M's as well
     # finite samples can still overflow the products; refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        k_el, m_el = element_matrices(widths, shapes, mesh.spec.epsilon,
-                                      a_at, b_at, dofmap.pairs)
+        k_el, m_el = element_matrices(space.mesh.widths, space.shapes,
+                                      space.mesh.spec.epsilon, a_at, b_at,
+                                      space.pairs)
         K.scatter(index, k_el)
         M.scatter(index, m_el)
     for name, A in (("stiffness matrix K", K), ("mass matrix M", M)):
@@ -240,7 +233,7 @@ def assemble(mesh: Mesh, coeffs: CoefficientSet):
                 f"the {name} overflows: an entry is not finite, so the "
                 f"coefficients are too large for double precision"
             )
-    return K, M, dofmap
+    return K, M
 
 
 def _owned(arr) -> np.ndarray:
@@ -303,22 +296,21 @@ class FEFunction:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_dof_vector(cls, mesh: Mesh, dofmap: DofMap,
-                        vec: np.ndarray) -> "FEFunction":
-        """The function with free dofs vec, of shape (n_free,), or of
-        shape (n_free, modes) for one function per column."""
+    def from_dof_vector(cls, space: Space, vec: np.ndarray) -> "FEFunction":
+        """The function of space with free dofs vec, of shape (n_free,),
+        or of shape (n_free, modes) for one function per column."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape[:1] != (dofmap.n_free,) or vec.ndim > 2:
+        if vec.shape[:1] != (space.n_free,) or vec.ndim > 2:
             raise DimensionMismatch(
-                f"dof vector shape {vec.shape}, expected ({dofmap.n_free},) "
-                f"or ({dofmap.n_free}, modes)"
+                f"dof vector shape {vec.shape}, expected ({space.n_free},) "
+                f"or ({space.n_free}, modes)"
             )
         pad = np.concatenate([vec, np.zeros((1,) + vec.shape[1:])])
-        dofs = dofmap.element_dofs          # -1, a clamped dof, reads 0
+        dofs = space.element_dofs           # -1, a clamped dof, reads 0
         # each node's (value, slope) dofs: element i's left pair for node
         # i, the last element's right pair for the last node
         nodes = np.concatenate([dofs[:, :2], dofs[-1:, 2:4]])
-        return cls(mesh=mesh, node_values=pad[nodes[:, 0]],
+        return cls(mesh=space.mesh, node_values=pad[nodes[:, 0]],
                    node_slopes=pad[nodes[:, 1]], bubbles=pad[dofs[:, 4:]])
 
     def __call__(self, x, deriv=0, element=None):

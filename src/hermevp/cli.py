@@ -204,7 +204,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
                       (x_fields, u, du))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
-          f"dof={sol.dofmap.n_free}")
+          f"dof={sol.space.n_free}")
     for m in range(modes):
         flag = " (clustered)" if spectrum.clustered[m] else ""
         print(f"  lambda_{m + 1} = {spectrum.eigenvalues[m]:.12g}"
@@ -302,7 +302,7 @@ def cmd_table1(ns: argparse.Namespace) -> int:
         sol = solve(MeshSpec(epsilon=epsilon, beta=1.0, p=p, n_elements=n,
                              kind=MeshKind.EXP), coeffs, SolverConfig(k=modes))
         lambdas[:, j] = sol.spectrum.eigenvalues[:modes]
-        dofs.append(sol.dofmap.n_free)
+        dofs.append(sol.space.n_free)
 
     width = 11
     print(f"five lowest modes, a=e^x, b=x, epsilon={epsilon:g}, p={p}, "

@@ -49,7 +49,8 @@ class MeshSpec:
 
     epsilon: singular perturbation parameter, 0 < epsilon <= 1
     beta: layer-strength constant, usually sqrt(min a); beta > 0
-    p: element degree the mesh will carry (>= 3); enters the grading factor
+    p: the grading degree (>= 3), the p of the layer scale (p+1) eps/beta,
+       and the degree of the Space that solve puts on the mesh
     n_elements: element count N; for exp/shishkin N > 4 and divisible by 4
     kind: mesh family
     """

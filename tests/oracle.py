@@ -10,9 +10,7 @@ Horner pass per derivative order.
 import numpy as np
 from scipy.linalg import eigh
 
-from hermevp.assembly import build_dof_map
 from hermevp.eigensolver import _factor_spd_band, _reduced_pairs, _tri_solve
-from hermevp.element import shape_table
 
 
 def to_dense(A) -> np.ndarray:
@@ -41,14 +39,15 @@ def dense_reduce(K, M, k: int):
     return _reduced_pairs(rband, mu, y, k)
 
 
-def full_matrix_bands(mesh, coeffs):
+def full_matrix_bands(space, coeffs):
     """The K and M bands from every element's full (p+1) x (p+1) local
     matrices, one einsum per coefficient term over all (i, k), scattered
     through a mask of the free upper-triangle entries in (element, i, k)
-    order; p and eps come from mesh.spec, as in assemble."""
-    shapes, epsilon = shape_table(mesh.spec.p), mesh.spec.epsilon
-    widths = mesh.widths
-    x = mesh.nodes[:-1, None] + widths[:, None] * shapes.rule.points
+    order; the shapes, quadrature points and dof numbering are the
+    space's and eps is its mesh spec's, as in assemble."""
+    shapes, epsilon = space.shapes, space.mesh.spec.epsilon
+    widths = space.mesh.widths
+    x = space.points
     a = np.broadcast_to(np.asarray(coeffs.a(x), dtype=float), x.shape)
     b = np.broadcast_to(np.asarray(coeffs.b(x), dtype=float), x.shape)
     h = widths[:, None, None]
@@ -62,12 +61,11 @@ def full_matrix_bands(mesh, coeffs):
     k_loc *= scale[:, :, None] * scale[:, None, :]
     m_loc *= scale[:, :, None] * scale[:, None, :]
 
-    dofmap = build_dof_map(mesh.n_elements, shapes.p)
-    idx, bw = dofmap.element_dofs, dofmap.bandwidth
+    idx, bw = space.element_dofs, space.bandwidth
     ii, jj = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
     keep = (ii >= 0) & (ii <= jj)
     flat = bw + ii[keep] - jj[keep] + (bw + 1) * jj[keep]
-    shape = (bw + 1, dofmap.n_free)
+    shape = (bw + 1, space.n_free)
     return tuple(np.bincount(flat, weights=local[keep],
                              minlength=shape[0] * shape[1]
                              ).reshape(shape, order="F")

@@ -49,7 +49,7 @@ solves at N=1024, is a module-scoped fixture shared by several criteria.
 import numpy as np
 import pytest
 
-from hermevp import (CoefficientSet, MeshSpec, SolverConfig, assemble,
+from hermevp import (CoefficientSet, MeshSpec, SolverConfig, Space, assemble,
                      build_mesh, convergence_study, element_matrices,
                      interp_rate_study, shape_table, solve, solve_smallest)
 from hermevp.cli import BENCHMARK_EIGENVALUES
@@ -275,7 +275,8 @@ class TestCriterion7OracleEquivalence:
         ]
         worst = 0.0
         for label, eps, n, kind, coeffs, k in problems:
-            K, M, _ = assemble(build_mesh(layer_spec(eps, n, kind)), coeffs)
+            K, M = assemble(Space(build_mesh(layer_spec(eps, n, kind)), P),
+                            coeffs)
             assert K.n <= 50
             lams = solve_smallest(K, M, SolverConfig(k=k)).eigenvalues
             brute = pencil_eigenvalues(K, M, k)

@@ -350,8 +350,13 @@ class TestFitSlope:
                                                      rel=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(TooFewPoints):
-            fit_slope([8.0, 16.0], [1.0])
+        # unequal lengths are a shape fault (exit 9), whatever the counts
+        for ns, errors in (([8.0, 16.0], [1.0]), ([8.0], [1.0, 0.5]),
+                           ([8.0, 16.0, 32.0], [1.0, 0.5])):
+            with pytest.raises(DimensionMismatch,
+                               match="mismatched lengths") as info:
+                fit_slope(ns, errors)
+            assert info.value.exit_code == 9
 
     def test_positive_errors_required(self):
         with pytest.raises(NonpositiveError):

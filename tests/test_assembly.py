@@ -6,9 +6,9 @@ import pytest
 import sympy as sp
 
 from hermevp import (CoefficientSet, CoefficientViolation, DimensionMismatch,
-                     FEFunction, InvalidSpec, MeshSpec, SymBandMatrix,
-                     assemble, build_dof_map, build_mesh, element_matrices,
-                     gauss_rule, shape_table)
+                     FEFunction, InvalidSpec, MeshSpec, Space, SymBandMatrix,
+                     assemble, build_mesh, element_matrices, gauss_rule,
+                     shape_table)
 from oracle import to_dense
 
 
@@ -36,6 +36,12 @@ def symbolic_element_matrices(p, deriv):
             val = sp.integrate(sp.expand(fi * fj), (s, 0, 1))
             mat[i, j] = mat[j, i] = float(val)
     return mat
+
+
+def uniform_space(n, p):
+    """The degree-p space on the uniform mesh of n elements."""
+    return Space(build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
+                                     n_elements=n, kind="uniform")), p)
 
 
 def every_pair(p):
@@ -98,7 +104,7 @@ class TestBatchedElementMatrices:
         h = rng.uniform(1e-6, 0.5, size=7)
         a = rng.uniform(1.0, 3.0, size=(7, shapes.rule.n_points))
         b = rng.uniform(0.0, 2.0, size=(7, shapes.rule.n_points))
-        kept = build_dof_map(7, p).pairs
+        kept = uniform_space(7, p).pairs
         k_el, m_el = element_matrices(h, shapes, 1e-3, a, b, kept)
         assert k_el.shape == m_el.shape == (7, (p + 1) * (p + 2) // 2)
         # each element alone, as a batch of one
@@ -117,7 +123,7 @@ class TestBatchedElementMatrices:
         h = rng.uniform(1e-6, 0.5, size=5)
         a = rng.uniform(1.0, 3.0, size=(5, shapes.rule.n_points))
         b = rng.uniform(0.0, 2.0, size=(5, shapes.rule.n_points))
-        i, j = kept = build_dof_map(5, p).pairs
+        i, j = kept = uniform_space(5, p).pairs
         k_full, m_full = element_matrices(h, shapes, 1e-3, a, b,
                                           every_pair(p))
         k_el, m_el = element_matrices(h, shapes, 1e-3, a, b, kept)
@@ -128,8 +134,11 @@ class TestBatchedElementMatrices:
 
 
 class TestDofMap:
+    """A Space's free-dof numbering, which depends on N and the degree
+    alone."""
+
     def test_cubic_map_on_four_elements(self):
-        dm = build_dof_map(4, 3)
+        dm = uniform_space(4, 3)
         assert dm.n_free == 6
         assert dm.bandwidth == 3
         expect = np.array([[-1, -1, 0, 1],
@@ -142,7 +151,7 @@ class TestDofMap:
         assert np.array_equal(dm.element_dofs[1:, 1], [1, 3, 5])
 
     def test_quintic_map_counts_and_bandwidth(self):
-        dm = build_dof_map(4, 5)
+        dm = uniform_space(4, 5)
         assert dm.n_free == 2 * 3 + 4 * 2
         assert dm.bandwidth == 5
         free = dm.element_dofs[dm.element_dofs >= 0]
@@ -152,7 +161,7 @@ class TestDofMap:
     def test_pairs_are_the_band_triangle(self, p):
         # on every element the pairs hit each free (row <= column) entry
         # of the local matrix once, in row-major order
-        dm = build_dof_map(6, p)
+        dm = uniform_space(6, p)
         i, j = dm.pairs
         assert len(i) == (p + 1) * (p + 2) // 2
         assert np.all(np.diff(i * (p + 1) + j) > 0)
@@ -166,13 +175,22 @@ class TestDofMap:
 
     @pytest.mark.parametrize("n,p", [(8, 3), (8, 4), (16, 5), (6, 6)])
     def test_free_count_formula(self, n, p):
-        dm = build_dof_map(n, p)
+        dm = uniform_space(n, p)
         assert dm.n_free == 2 * (n - 1) + n * (p - 3)
         assert dm.bandwidth == p
+        # interior node i's (value, slope) pair is (p-3) + (i-1)(p-1) and
+        # the next dof, and element e's bubbles start at e(p-1)
+        node = [-1] + [(p - 3) + (i - 1) * (p - 1) for i in range(1, n)]
+        expect = [[node[e], node[e] + 1 if e else -1]
+                  + ([node[e + 1], node[e + 1] + 1] if e + 1 < n
+                     else [-1, -1])
+                  + [e * (p - 1) + m for m in range(p - 3)]
+                  for e in range(n)]
+        assert np.array_equal(dm.element_dofs, expect)
 
     def test_degree_checked(self):
         with pytest.raises(InvalidSpec):
-            build_dof_map(4, 2)
+            uniform_space(4, 2)
 
 
 def scatter_one(A, idx, local):
@@ -206,7 +224,7 @@ class TestSymBandMatrix:
 
     def test_batched_scatter_equals_one_at_a_time(self):
         rng = np.random.default_rng(8)
-        dm = build_dof_map(6, 5)
+        dm = uniform_space(6, 5)
         local = rng.standard_normal((6, 6, 6))
         local = local + local.transpose(0, 2, 1)
         i, j = dm.pairs
@@ -269,7 +287,8 @@ class TestAssemble:
     def test_matches_direct_integration_of_bilinear_form(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        K, M, dofmap = assemble(mesh, default_coeffs())
+        space = Space(mesh, 3)
+        K, M = assemble(space, default_coeffs())
 
         rule = gauss_rule(20)
         xq = (mesh.nodes[:-1, None]
@@ -277,12 +296,12 @@ class TestAssemble:
         wq = (mesh.widths[:, None] * rule.weights[None, :]).ravel()
 
         basis_fns = []
-        for i in range(dofmap.n_free):
-            e = np.zeros(dofmap.n_free)
+        for i in range(space.n_free):
+            e = np.zeros(space.n_free)
             e[i] = 1.0
-            basis_fns.append(FEFunction.from_dof_vector(mesh, dofmap, e))
+            basis_fns.append(FEFunction.from_dof_vector(space, e))
 
-        n = dofmap.n_free
+        n = space.n_free
         K_direct = np.zeros((n, n))
         M_direct = np.zeros((n, n))
         vals = np.array([f(xq) for f in basis_fns])
@@ -304,7 +323,7 @@ class TestAssemble:
     def test_matrices_positive_definite(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=4,
                                    n_elements=16, kind="exp"))
-        K, M, _ = assemble(mesh, default_coeffs())
+        K, M = assemble(Space(mesh, 4), default_coeffs())
         np.linalg.cholesky(to_dense(K))
         np.linalg.cholesky(to_dense(M))
 
@@ -332,7 +351,7 @@ class TestAssemble:
         assert dips.a_floor == 1.0 - 1e-9
         with pytest.raises(CoefficientViolation,
                            match="reaches 0.5 on .0, 1., need a > 0.99999"):
-            assemble(mesh, dips)
+            assemble(Space(mesh, 3), dips)
 
         def b_raises(x):
             if not np.all(on_probe(x)):
@@ -342,7 +361,7 @@ class TestAssemble:
         raises = CoefficientSet(a=np.exp, b=b_raises)
         with pytest.raises(InvalidSpec, match="cannot evaluate a.x. = 'exp' "
                                               "and b.x. = 'b_raises'"):
-            assemble(mesh, raises)
+            assemble(Space(mesh, 3), raises)
 
     def test_scalar_coefficient_broadcast(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
@@ -350,8 +369,8 @@ class TestAssemble:
         lits = CoefficientSet(a=lambda x: 1.0, b=lambda x: 0.0)
         fns = CoefficientSet(a=lambda x: np.ones_like(x),
                              b=lambda x: np.zeros_like(x))
-        K1, M1, _ = assemble(mesh, lits)
-        K2, M2, _ = assemble(mesh, fns)
+        K1, M1 = assemble(Space(mesh, 3), lits)
+        K2, M2 = assemble(Space(mesh, 3), fns)
         assert np.array_equal(K1.band, K2.band)
         assert np.array_equal(M1.band, M2.band)
 
@@ -379,37 +398,36 @@ class TestFEFunction:
     def make(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=3,
                                    n_elements=4, kind="uniform"))
-        _, _, dofmap = assemble(mesh, default_coeffs())
-        return mesh, dofmap
+        return Space(mesh, 3)
 
     def test_dof_vector_unpacking(self):
-        mesh, dofmap = self.make()
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       np.arange(1.0, 7.0))
+        space = self.make()
+        u = FEFunction.from_dof_vector(space, np.arange(1.0, 7.0))
         assert np.array_equal(u.node_values, [0, 1, 3, 5, 0])
         assert np.array_equal(u.node_slopes, [0, 2, 4, 6, 0])
 
     def test_interpolation_property_at_nodes(self):
-        mesh, dofmap = self.make()
+        space = self.make()
         rng = np.random.default_rng(3)
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       rng.standard_normal(dofmap.n_free))
-        assert np.allclose(u(mesh.nodes), u.node_values, atol=1e-14)
-        assert np.allclose(u(mesh.nodes, deriv=1), u.node_slopes, atol=1e-13)
+        u = FEFunction.from_dof_vector(space,
+                                       rng.standard_normal(space.n_free))
+        assert np.allclose(u(space.mesh.nodes), u.node_values, atol=1e-14)
+        assert np.allclose(u(space.mesh.nodes, deriv=1), u.node_slopes,
+                           atol=1e-13)
 
     def test_clamped_ends(self):
-        mesh, dofmap = self.make()
+        space = self.make()
         rng = np.random.default_rng(4)
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       rng.standard_normal(dofmap.n_free))
+        u = FEFunction.from_dof_vector(space,
+                                       rng.standard_normal(space.n_free))
         for deriv in (0, 1):
             vals = u(np.array([0.0, 1.0]), deriv=deriv)
             assert np.max(np.abs(vals)) < 1e-13
 
     def test_wrong_vector_length(self):
-        mesh, dofmap = self.make()
+        space = self.make()
         with pytest.raises(DimensionMismatch):
-            FEFunction.from_dof_vector(mesh, dofmap, np.zeros(7))
+            FEFunction.from_dof_vector(space, np.zeros(7))
 
     @pytest.mark.parametrize("p", [3, 4, 7])
     def test_degree_read_off_bubbles(self, p):
@@ -422,9 +440,8 @@ class TestFEFunction:
                           node_slopes=np.zeros(5)).p == 3
 
     def test_wrong_array_lengths(self):
-        mesh, _ = self.make()
         with pytest.raises(DimensionMismatch):
-            FEFunction(mesh=mesh, node_values=np.zeros(3),
+            FEFunction(mesh=self.make().mesh, node_values=np.zeros(3),
                        node_slopes=np.zeros(5))
 
     @pytest.mark.parametrize("name", ["node_values", "node_slopes",
@@ -451,10 +468,10 @@ class TestFEFunction:
     def test_quintic_bubbles_participate(self):
         mesh = build_mesh(MeshSpec(epsilon=0.3, beta=1.0, p=5,
                                    n_elements=4, kind="uniform"))
-        _, _, dofmap = assemble(mesh, default_coeffs())
-        vec = np.zeros(dofmap.n_free)
-        vec[dofmap.element_dofs[1, 4]] = 1.0
-        u = FEFunction.from_dof_vector(mesh, dofmap, vec)
+        space = Space(mesh, 5)
+        vec = np.zeros(space.n_free)
+        vec[space.element_dofs[1, 4]] = 1.0
+        u = FEFunction.from_dof_vector(space, vec)
         inside = u(np.array([0.375]))
         assert abs(inside[0]) > 1e-4
         assert np.max(np.abs(u(mesh.nodes))) < 1e-15
@@ -491,10 +508,10 @@ class TestFEFunction:
     def test_tuple_deriv_columns_equal_single_calls(self, p):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, default_coeffs())
+        space = Space(mesh, p)
         rng = np.random.default_rng(p)
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       rng.standard_normal(dofmap.n_free))
+        u = FEFunction.from_dof_vector(space,
+                                       rng.standard_normal(space.n_free))
         x = np.concatenate([[0.0, 1.0], mesh.nodes, rng.random(500)])
         derivs = (0, 1, 2)
         cols = u(x, derivs)
@@ -514,10 +531,10 @@ class TestFEFunction:
         # term of the element's polynomial, which is the node value itself
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, default_coeffs())
+        space = Space(mesh, p)
         rng = np.random.default_rng(10 + p)
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       rng.standard_normal(dofmap.n_free))
+        u = FEFunction.from_dof_vector(space,
+                                       rng.standard_normal(space.n_free))
         assert np.array_equal(u(mesh.nodes[:-1]), u.node_values[:-1])
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -539,10 +556,10 @@ class TestFEFunction:
     def test_local_coordinates_equal_point_calls(self):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=5,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, default_coeffs())
+        space = Space(mesh, 5)
         rng = np.random.default_rng(6)
-        u = FEFunction.from_dof_vector(mesh, dofmap,
-                                       rng.standard_normal(dofmap.n_free))
+        u = FEFunction.from_dof_vector(space,
+                                       rng.standard_normal(space.n_free))
         x = rng.random(200)
         e = np.searchsorted(mesh.nodes, x, side="right") - 1
         t = (x - mesh.nodes[e]) * (1.0 / mesh.widths)[e]
@@ -557,19 +574,19 @@ class TestFEFunctionModes:
     def make(p, n_modes=3):
         mesh = build_mesh(MeshSpec(epsilon=1e-3, beta=1.0, p=p,
                                    n_elements=16, kind="exp"))
-        _, _, dofmap = assemble(mesh, default_coeffs())
+        space = Space(mesh, p)
         rng = np.random.default_rng(30 + p)
-        vecs = rng.standard_normal((dofmap.n_free, n_modes))
-        return mesh, dofmap, vecs
+        vecs = rng.standard_normal((space.n_free, n_modes))
+        return space, vecs
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_from_dof_vector_stacks_modes(self, p):
-        mesh, dofmap, vecs = self.make(p)
-        u = FEFunction.from_dof_vector(mesh, dofmap, vecs)
+        space, vecs = self.make(p)
+        u = FEFunction.from_dof_vector(space, vecs)
         assert u.node_values.shape == (17, 3)
         assert u.bubbles.shape == (16, p - 3, 3)
         for m in range(3):
-            single = FEFunction.from_dof_vector(mesh, dofmap, vecs[:, m])
+            single = FEFunction.from_dof_vector(space, vecs[:, m])
             assert np.array_equal(u.node_values[:, m], single.node_values)
             assert np.array_equal(u.node_slopes[:, m], single.node_slopes)
             assert np.array_equal(u.bubbles[..., m], single.bubbles)
@@ -577,28 +594,29 @@ class TestFEFunctionModes:
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     @pytest.mark.parametrize("deriv", [0, 1, 2, (0, 1), (2, 0, 1)], ids=str)
     def test_located_points_equal_single_calls(self, p, deriv):
-        mesh, dofmap, vecs = self.make(p)
-        u = FEFunction.from_dof_vector(mesh, dofmap, vecs)
+        space, vecs = self.make(p)
+        u = FEFunction.from_dof_vector(space, vecs)
         rng = np.random.default_rng(40 + p)
         # nodes, the last node among them, and the last node again
-        x = np.concatenate([mesh.nodes, rng.random(300), [1.0, 0.5, 1.0]])
+        x = np.concatenate([space.mesh.nodes, rng.random(300),
+                            [1.0, 0.5, 1.0]])
         out = u(x, deriv)
         n_orders = () if np.ndim(deriv) == 0 else (len(deriv),)
         assert out.shape == (len(x),) + n_orders + (3,)
         for m in range(3):
-            single = FEFunction.from_dof_vector(mesh, dofmap, vecs[:, m])
+            single = FEFunction.from_dof_vector(space, vecs[:, m])
             assert np.array_equal(out[..., m], single(x, deriv))
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_local_coordinates_equal_single_calls(self, p):
-        mesh, dofmap, vecs = self.make(p)
-        u = FEFunction.from_dof_vector(mesh, dofmap, vecs)
+        space, vecs = self.make(p)
+        u = FEFunction.from_dof_vector(space, vecs)
         rng = np.random.default_rng(50 + p)
         e = np.concatenate([rng.integers(0, 16, 200), [15]])
         t = np.concatenate([rng.random(200), [1.0]])   # the last node
         out = u(t, (0, 1, 2), element=e)
         for m in range(3):
-            single = FEFunction.from_dof_vector(mesh, dofmap, vecs[:, m])
+            single = FEFunction.from_dof_vector(space, vecs[:, m])
             assert np.array_equal(out[..., m], single(t, (0, 1, 2),
                                                       element=e))
 
@@ -634,14 +652,14 @@ class TestFEFunctionModeMemory:
         p, n, n_modes = 5, 512, 5
         mesh = build_mesh(MeshSpec(epsilon=1e-4, beta=1.0, p=p,
                                    n_elements=n, kind="exp"))
-        dofmap = build_dof_map(n, p)
+        space = Space(mesh, p)
         x = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001),
                                       mesh.nodes]))
         vecs = np.random.default_rng(70).standard_normal(
-            (dofmap.n_free, n_modes))
+            (space.n_free, n_modes))
 
         def peak(vec):
-            u = FEFunction.from_dof_vector(mesh, dofmap, vec)
+            u = FEFunction.from_dof_vector(space, vec)
             u(x, (0, 1))                  # first-call allocations aside
             tracemalloc.start()
             try:

@@ -6,9 +6,9 @@ from scipy.optimize import brentq
 
 from hermevp import (CoefficientSet, InvalidSpec, KTooLarge, MeshSpec,
                      NoConvergence, NotPositiveDefinite, SolverConfig,
-                     Spectrum, SymBandMatrix, assemble, build_dof_map,
-                     build_mesh, eigensolver, element_matrices,
-                     residual_norms, shape_table, solve_smallest)
+                     Space, Spectrum, SymBandMatrix, assemble, build_mesh,
+                     eigensolver, element_matrices, residual_norms,
+                     solve_smallest)
 from oracle import dense_reduce, pencil_eigenvalues
 
 
@@ -19,7 +19,7 @@ def assemble_problem(epsilon=1.0, n=4, p=3, kind="uniform",
     coeffs = CoefficientSet(
         a=a if a is not None else (lambda x: np.ones_like(x)),
         b=b if b is not None else (lambda x: np.zeros_like(x)))
-    return assemble(mesh, coeffs)
+    return assemble(Space(mesh, p), coeffs)
 
 
 class TestSolveSmallest:
@@ -29,7 +29,7 @@ class TestSolveSmallest:
         dict(epsilon=1e-2, n=8, p=4, kind="exp", b=lambda x: np.ones_like(x)),
     ])
     def test_matches_direct_dense_solver(self, problem):
-        K, M, _ = assemble_problem(**problem)
+        K, M = assemble_problem(**problem)
         k = 5
         spec = solve_smallest(K, M, SolverConfig(k=k))
         expect = pencil_eigenvalues(K, M, k)
@@ -38,20 +38,20 @@ class TestSolveSmallest:
 
     def test_all_modes_recoverable(self):
         # ARPACK's most: every mode but the highest
-        K, M, _ = assemble_problem()
+        K, M = assemble_problem()
         k = K.n - 1
         spec = solve_smallest(K, M, SolverConfig(k=k))
         expect = pencil_eigenvalues(K, M, k)
         assert np.allclose(spec.eigenvalues, expect, rtol=1e-9)
 
     def test_eigenvalues_ascending_and_positive(self):
-        K, M, _ = assemble_problem(epsilon=1e-3, n=16, p=3, kind="exp")
+        K, M = assemble_problem(epsilon=1e-3, n=16, p=3, kind="exp")
         spec = solve_smallest(K, M, SolverConfig(k=4))
         assert np.all(np.diff(spec.eigenvalues) >= 0.0)
         assert np.all(spec.eigenvalues > 0.0)
 
     def test_mass_normalization_and_orthogonality(self):
-        K, M, _ = assemble_problem(epsilon=0.1, n=8, p=3)
+        K, M = assemble_problem(epsilon=0.1, n=8, p=3)
         spec = solve_smallest(K, M, SolverConfig(k=3))
         for i in range(3):
             u = spec.eigenvectors[:, i]
@@ -62,14 +62,14 @@ class TestSolveSmallest:
         assert np.abs(gram - np.eye(3)).max() < 1e-12
 
     def test_bitwise_determinism(self):
-        K, M, _ = assemble_problem(epsilon=1e-2, n=8, p=3, kind="exp")
+        K, M = assemble_problem(epsilon=1e-2, n=8, p=3, kind="exp")
         a = solve_smallest(K, M, SolverConfig(k=3))
         b = solve_smallest(K, M, SolverConfig(k=3))
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_residuals_tiny_for_returned_pairs(self):
-        K, M, _ = assemble_problem(epsilon=1e-3, n=16, p=3, kind="exp")
+        K, M = assemble_problem(epsilon=1e-3, n=16, p=3, kind="exp")
         spec = solve_smallest(K, M, SolverConfig(k=3))
         assert np.all(spec.residuals < 1e-13)
 
@@ -79,7 +79,7 @@ class TestShiftInvert:
     reduction formed densely."""
 
     def test_agrees_with_dense_path(self):
-        K, M, _ = assemble_problem(epsilon=1e-2, n=16, p=3, kind="exp")
+        K, M = assemble_problem(epsilon=1e-2, n=16, p=3, kind="exp")
         for k in (3, K.n - 1):
             dense, _ = dense_reduce(K, M, k)
             si = solve_smallest(K, M, SolverConfig(k=k))
@@ -91,21 +91,21 @@ class TestShiftInvert:
     ])
     def test_agrees_with_dense_path_on_layer_meshes(self, p, n, kind,
                                                     epsilon, k):
-        K, M, _ = assemble_problem(epsilon=epsilon, n=n, p=p, kind=kind,
+        K, M = assemble_problem(epsilon=epsilon, n=n, p=p, kind=kind,
                                    a=np.exp, b=lambda x: x)
         dense, _ = dense_reduce(K, M, k)
         si = solve_smallest(K, M, SolverConfig(k=k))
         assert np.max(np.abs(si.eigenvalues - dense) / dense) < 1e-12
 
     def test_bitwise_determinism(self):
-        K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
+        K, M = assemble_problem(epsilon=0.1, n=12, p=3)
         a = solve_smallest(K, M, SolverConfig(k=2))
         b = solve_smallest(K, M, SolverConfig(k=2))
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_iteration_count_reported(self):
-        K, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
+        K, M = assemble_problem(epsilon=0.1, n=12, p=3)
         spec = solve_smallest(K, M, SolverConfig(k=2))
         assert spec.iterations >= 2
 
@@ -114,7 +114,7 @@ class TestShiftInvert:
         # mesh, a = e^x, b = x, eps = 1e-6.  With ncv = 2k + 2 Lanczos
         # vectors it takes 14 applications of C; scipy's default ncv = 20
         # took 21
-        K, M, _ = assemble_problem(epsilon=1e-6, n=1024, p=3, kind="exp",
+        K, M = assemble_problem(epsilon=1e-6, n=1024, p=3, kind="exp",
                                    a=np.exp, b=lambda x: x)
         spec = solve_smallest(K, M, SolverConfig(k=2))
         assert spec.iterations == 14
@@ -132,7 +132,7 @@ class TestShiftInvert:
             solve_smallest(K, M, SolverConfig(k=3))
 
     def test_indefinite_stiffness_rejected(self):
-        _, M, _ = assemble_problem(epsilon=0.1, n=12, p=3)
+        _, M = assemble_problem(epsilon=0.1, n=12, p=3)
         K = SymBandMatrix(M.n, 0)
         K.band[0] = 1.0
         K.band[0, 5] = -1.0
@@ -141,7 +141,7 @@ class TestShiftInvert:
 
     def test_no_dense_matrix_on_solve_path(self):
         # 8190 dofs: one dense n x n float64 matrix would take 537 MB
-        K, M, _ = assemble_problem(epsilon=1e-8, n=2048, p=5, kind="exp",
+        K, M = assemble_problem(epsilon=1e-8, n=2048, p=5, kind="exp",
                                    a=np.exp, b=lambda x: x)
         tracemalloc.start()
         try:
@@ -161,12 +161,12 @@ class TestUnresolvableModes:
     def test_all_modes_beyond_rounding_raise_k_too_large(self):
         # all 30 modes: refused as k >= n before the mu <= 0 check, which
         # TestReducedPairs covers
-        K, M, _ = self.problem()
+        K, M = self.problem()
         with pytest.raises(KTooLarge, match="at most n - 1 = 29"):
             solve_smallest(K, M, SolverConfig(k=K.n))
 
     def test_resolvable_modes_still_solve(self):
-        K, M, _ = self.problem()
+        K, M = self.problem()
         spec = solve_smallest(K, M, SolverConfig(k=K.n - 1))
         assert np.all(spec.eigenvalues > 0.0)
 
@@ -201,7 +201,7 @@ class TestNormalizationThroughReduction:
         dict(epsilon=1e-8, n=1024, p=3, kind="shishkin"),
     ], ids=["exp-p5-expx", "shishkin-p3-const"])
     def test_vectors_are_m_orthonormal(self, problem):
-        K, M, _ = assemble_problem(**problem)
+        K, M = assemble_problem(**problem)
         k = 5
         vecs = solve_smallest(K, M, SolverConfig(k=k)).eigenvectors
         m_vecs = np.stack([M.matvec(u) for u in vecs.T], axis=1)
@@ -215,15 +215,14 @@ class TestClampedBeamLimit:
         # eps = 1, a = b = 0 leaves the plain fourth-order beam operator,
         # whose clamped eigenvalues are k^4 with cosh(k) cos(k) = 1.
         # assemble refuses a = 0, so the pencil is scattered here.
-        n, p = 32, 3
-        shapes = shape_table(p)
-        zero = np.zeros((n, shapes.rule.n_points))
-        dofmap = build_dof_map(n, p)
-        k_el, m_el = element_matrices(np.full(n, 1.0 / n), shapes, 1.0,
-                                      zero, zero, dofmap.pairs)
-        K = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-        M = SymBandMatrix(dofmap.n_free, dofmap.bandwidth)
-        index = K.band_index(dofmap.element_dofs, dofmap.pairs)
+        space = Space(build_mesh(MeshSpec(epsilon=1.0, beta=1.0, p=3,
+                                          n_elements=32, kind="uniform")), 3)
+        zero = np.zeros(space.points.shape)
+        k_el, m_el = element_matrices(space.mesh.widths, space.shapes, 1.0,
+                                      zero, zero, space.pairs)
+        K = SymBandMatrix(space.n_free, space.bandwidth)
+        M = SymBandMatrix(space.n_free, space.bandwidth)
+        index = K.band_index(space.element_dofs, space.pairs)
         K.scatter(index, k_el)
         M.scatter(index, m_el)
         spec = solve_smallest(K, M, SolverConfig(k=2))
@@ -235,7 +234,7 @@ class TestClampedBeamLimit:
 
 class TestResidualCheck:
     def test_true_pair_small_perturbed_pair_large(self):
-        K, M, _ = assemble_problem(epsilon=0.1, n=8, p=3)
+        K, M = assemble_problem(epsilon=0.1, n=8, p=3)
         spec = solve_smallest(K, M, SolverConfig(k=1))
         lam = float(spec.eigenvalues[0])
         u = spec.eigenvectors[:, 0]
@@ -260,7 +259,7 @@ class TestClusterFlags:
 
 class TestValidation:
     def test_too_many_modes(self):
-        K, M, _ = assemble_problem()
+        K, M = assemble_problem()
         with pytest.raises(KTooLarge):
             solve_smallest(K, M, SolverConfig(k=K.n + 1))
 
@@ -276,7 +275,7 @@ class TestValidation:
             solve_smallest(K, M, SolverConfig(k=3 + extra))
 
     def test_size_mismatch(self):
-        K, M, _ = assemble_problem()
+        K, M = assemble_problem()
         other = SymBandMatrix(K.n + 1, K.bandwidth)
         with pytest.raises(InvalidSpec):
             solve_smallest(K, other, SolverConfig(k=1))
@@ -297,7 +296,7 @@ class TestValidation:
             SolverConfig(**kw)
 
     def test_spectrum_arrays_read_only(self):
-        K, M, _ = assemble_problem()
+        K, M = assemble_problem()
         spec = solve_smallest(K, M, SolverConfig(k=2))
         with pytest.raises(ValueError):
             spec.eigenvalues[0] = 0.0

@@ -89,6 +89,18 @@ def test_one_pipeline():
     assert len(calls_to(solve, "solve_smallest")) == 1
 
 
+def test_one_space():
+    # the discrete space's shape table is tabulated in one place: every
+    # caller in the package reads it from a Space
+    package = Path(hermevp.__file__).parent
+    calls = {path.stem: len(calls_to(ast.parse(path.read_text()),
+                                      "shape_table"))
+             for path in package.glob("*.py")}
+    assert {stem: n for stem, n in calls.items() if n} == {"assembly": 1}
+    space = ast.parse(inspect.getsource(hermevp.Space))
+    assert len(calls_to(space, "shape_table")) == 1
+
+
 def test_cli_builds_meshes_only_for_mesh_dump():
     # a study's meshes are built, once each, by the analysis module; the
     # command-line module builds one only to write it out
@@ -124,24 +136,25 @@ def test_readme_exit_code_table_names_every_error():
 
 
 def test_derived_values_are_not_inputs():
-    # a_floor, an FEFunction's degree, a DofMap's degree and node indices,
-    # a Solution's mesh, the energy error's Gauss rule and the study's
-    # samples per region are derived, and its fits' abscissa is fixed:
-    # none of them is given; an interpolation ladder's settings live in
-    # its rows
+    # a_floor, an FEFunction's degree, a Space's dof numbering, shape
+    # table and quadrature points, a Solution's mesh, the energy error's
+    # Gauss rule and the study's samples per region are derived, and its
+    # fits' abscissa is fixed: none of them is given; an interpolation
+    # ladder's settings live in its rows
     def settable(cls):
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
     assert settable(hermevp.CoefficientSet) == ["a", "b"]
     assert settable(hermevp.FEFunction) == ["mesh", "node_values",
                                             "node_slopes", "bubbles"]
-    assert settable(hermevp.DofMap) == ["n_free", "bandwidth",
-                                        "element_dofs", "pairs"]
+    assert settable(hermevp.Space) == ["mesh", "degree"]
+    assert list(inspect.signature(hermevp.FEFunction.from_dof_vector)
+                .parameters) == ["space", "vec"]
     assert list(inspect.signature(hermevp.convergence_study).parameters) \
         == ["ref_spec", "n_values", "coeffs", "config", "on_record"]
     assert list(inspect.signature(hermevp.sample_points).parameters) \
         == ["mesh"]
-    assert settable(hermevp.Solution) == ["dofmap", "spectrum", "function"]
+    assert settable(hermevp.Solution) == ["space", "spectrum", "function"]
     assert list(inspect.signature(hermevp.energy_norm_error).parameters) \
         == ["u_h", "u_ref"]
     assert settable(hermevp.InterpReport) == ["records"]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermevp import (CoefficientSet, HermevpError, MeshKind, MeshSpec,
-                     SolverConfig, assemble, build_mesh, solve_smallest)
+                     SolverConfig, Space, assemble, build_mesh,
+                     solve_smallest)
 from hermevp.cli import resolve_coefficients
 from hermevp.element import piecewise_eval
 from oracle import dense_reduce, full_matrix_bands, per_order_eval
@@ -25,10 +26,10 @@ from oracle import dense_reduce, full_matrix_bands, per_order_eval
 def test_solve_or_documented_error(p, n, log_eps, kind, preset, k):
     epsilon = 10.0**log_eps
     try:
-        mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
-                                   n_elements=n, kind=kind))
+        space = Space(build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
+                                          n_elements=n, kind=kind)), p)
         coeffs = resolve_coefficients(preset, None, None)
-        K, M, _ = assemble(mesh, coeffs)
+        K, M = assemble(space, coeffs)
         spec = solve_smallest(K, M, SolverConfig(k=k))
     except HermevpError:
         return
@@ -61,8 +62,9 @@ def test_assembly_equals_full_matrix_oracle(mesh, preset, log_scale):
     scale = 10.0**log_scale
     coeffs = CoefficientSet(a=lambda x: scale * base.a(x),
                             b=lambda x: scale * base.b(x))
-    K, M, _ = assemble(mesh, coeffs)
-    k_band, m_band = full_matrix_bands(mesh, coeffs)
+    space = Space(mesh, mesh.spec.p)
+    K, M = assemble(space, coeffs)
+    k_band, m_band = full_matrix_bands(space, coeffs)
     assert np.array_equal(K.band, k_band)
     assert np.array_equal(M.band, m_band)
 
@@ -75,8 +77,9 @@ def test_finest_assembly_equals_full_matrix_oracle(kind, p, scale):
                                n_elements=1024, kind=kind))
     coeffs = CoefficientSet(a=lambda x: scale * np.exp(x),
                             b=lambda x: scale * x)
-    K, M, _ = assemble(mesh, coeffs)
-    k_band, m_band = full_matrix_bands(mesh, coeffs)
+    space = Space(mesh, mesh.spec.p)
+    K, M = assemble(space, coeffs)
+    k_band, m_band = full_matrix_bands(space, coeffs)
     assert np.array_equal(K.band, k_band)
     assert np.array_equal(M.band, m_band)
 

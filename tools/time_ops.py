@@ -13,10 +13,11 @@ with before.  In a round every op runs ``hermevp.cli.main`` once as a
 warm-up and then REPEATS more times, each run timed in wall seconds and in
 the process's CPU seconds (``time.process_time``, every thread, BLAS pools
 included).  The JSON holds, per op and side, the median, quartiles and
-minimum of all timed runs in wall seconds, the per-round medians, the same
-summary of CPU seconds under ``cpu``, and the number of rounds in which
-the after side's wall median was lower; with it the BLAS thread setting
-and the library versions.  BLAS is pinned to min(nproc, 2) threads before
+minimum of all timed runs in wall seconds, the per-round medians and
+minima, the same summary of CPU seconds under ``cpu``, and the number of
+rounds in which the after side's wall median was lower and in which its
+best run was, the statistic ``bench/run.py`` takes over its passes; with
+it the BLAS thread setting and the library versions.  BLAS is pinned to min(nproc, 2) threads before
 numpy loads, as in the benchmark.  The file is a record of the two
 versions on one machine; whether a difference is a gain is for its reader
 to judge from the spread.
@@ -157,6 +158,7 @@ def main(argv=None) -> int:
     times = {side: {name: [] for name in names} for side in sides}
     cpu = {side: {name: [] for name in names} for side in sides}
     medians = {side: {name: [] for name in names} for side in sides}
+    minima = {side: {name: [] for name in names} for side in sides}
     env = {}
     for i in range(ROUNDS):
         # the side that runs first alternates, so neither one always
@@ -167,6 +169,7 @@ def main(argv=None) -> int:
             for name, runs in result["times"].items():
                 times[side][name] += runs
                 medians[side][name].append(statistics.median(runs))
+                minima[side][name].append(min(runs))
             for name, runs in result["cpu_times"].items():
                 cpu[side][name] += runs
 
@@ -176,11 +179,15 @@ def main(argv=None) -> int:
             "argv": " ".join(OPS[name]),
             **{side: {**summary(times[side][name]),
                       "round_medians_s": medians[side][name],
+                      "round_minima_s": minima[side][name],
                       "cpu": summary(cpu[side][name])}
                for side in sides},
             "after_lower_rounds": sum(
                 a < b for a, b in zip(medians["after"][name],
                                       medians["before"][name])),
+            "after_best_lower_rounds": sum(
+                a < b for a, b in zip(minima["after"][name],
+                                      minima["before"][name])),
         }
     record = {
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
