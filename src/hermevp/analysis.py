@@ -221,6 +221,9 @@ class InterpReport:
 
 INTERP_SAMPLES = 200
 INTERP_GAUSS = 12
+# elements per block of the sup-error sweep: 20 * INTERP_SAMPLES = 4000
+# points at a time, whatever N, where one pass would hold INTERP_SAMPLES N
+INTERP_BLOCK = 20
 
 
 def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
@@ -230,6 +233,10 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
     the sup errors of the value and slope over INTERP_SAMPLES equally
     spaced points per element, ends included, and sqrt(epsilon) times the
     H2 seminorm error, with an INTERP_GAUSS-point Gauss rule per element.
+    The sup errors are swept INTERP_BLOCK elements at a time, keeping the
+    running maximum, so a rung's memory is O(N); a maximum does not depend
+    on the order it is taken in, so each is the one-pass sweep's bit for
+    bit.  The H2 sum stays one pass, since blocks would reorder it.
 
     The study targets the layer regime; it refuses to run when epsilon is
     so large relative to a mesh that the layer is resolved trivially.
@@ -255,12 +262,17 @@ def interp_rate_study(mesh_kind, epsilon: float, beta: float, p: int,
         interp = hermite_interpolant(
             HermiteData(nodes=nodes, values=values, slopes=slopes), group)
 
-        x0 = (nodes[:-1, None] + mesh.widths[:, None] * xi[None, :]).ravel()
-        # values and slopes in one located pass, turned in place into the
-        # errors I f - f and (I f)' - f'
-        err = interp(x0, (0, 1))
-        err -= eval_layer_function(x0, epsilon, beta, deriv=(0, 1))
-        e0, e1 = np.abs(err, out=err).max(axis=0)
+        sup = np.zeros(2)
+        for lo in range(0, n, INTERP_BLOCK):
+            hi = lo + INTERP_BLOCK
+            x0 = (nodes[:-1][lo:hi, None]
+                  + mesh.widths[lo:hi, None] * xi[None, :]).ravel()
+            # values and slopes in one located pass, turned in place into
+            # the errors I f - f and (I f)' - f'
+            err = interp(x0, (0, 1))
+            err -= eval_layer_function(x0, epsilon, beta, deriv=(0, 1))
+            np.maximum(sup, np.abs(err, out=err).max(axis=0), out=sup)
+        e0, e1 = sup
 
         xg = (nodes[:-1, None]
               + mesh.widths[:, None] * grule.points[None, :]).ravel()

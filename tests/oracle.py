@@ -2,15 +2,20 @@
 
 Nothing in hermevp calls these.  The dense ones serve small pencils, where
 an n x n matrix costs nothing; the library never forms one.  The others
-keep earlier, plainer forms of two kernels that the library's faster
-forms must match bit for bit: assembly from full local matrices, and one
-Horner pass per derivative order.
+keep earlier, plainer forms of three kernels that the library's faster
+forms must match bit for bit: assembly from full local matrices, one
+Horner pass per derivative order, and the interpolation sup errors swept
+over all of a mesh's sample points at once.
 """
 
 import numpy as np
 from scipy.linalg import eigh
 
+from hermevp.analysis import INTERP_SAMPLES
 from hermevp.eigensolver import _factor_spd_band, _reduced_pairs, _tri_solve
+from hermevp.element import (HermiteData, eval_layer_function,
+                             hermite_interpolant)
+from hermevp.mesh import MeshSpec, build_mesh
 
 
 def to_dense(A) -> np.ndarray:
@@ -108,3 +113,27 @@ def per_order_eval(breaks, coeffs, x, deriv=0, piece=None):
     if coeffs.ndim == 2:
         out = out[:, :, 0]
     return out[:, 0] if np.ndim(deriv) == 0 else out
+
+
+def sweep_points(mesh):
+    """interp_rate_study's sup-error sweep of mesh, all in one array:
+    INTERP_SAMPLES equally spaced points per element, ends included."""
+    xi = np.linspace(0.0, 1.0, INTERP_SAMPLES)
+    return (mesh.nodes[:-1, None] + mesh.widths[:, None] * xi[None, :]).ravel()
+
+
+def one_pass_sup_errors(kind, epsilon, beta, p, n):
+    """interp_rate_study's (max_err, max_err_d1) for one rung, from one
+    (INTERP_SAMPLES * n)-point sweep of every element at once."""
+    mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=beta, p=p,
+                               n_elements=n, kind=kind))
+    nodes = mesh.nodes
+    values, slopes = eval_layer_function(nodes, epsilon, beta,
+                                         deriv=(0, 1)).T
+    interp = hermite_interpolant(
+        HermiteData(nodes=nodes, values=values, slopes=slopes), (p - 1) // 2)
+    x0 = sweep_points(mesh)
+    err = interp(x0, (0, 1))
+    err -= eval_layer_function(x0, epsilon, beta, deriv=(0, 1))
+    e0, e1 = np.abs(err).max(axis=0)
+    return float(e0), float(e1)

@@ -49,6 +49,7 @@ solves at N=1024, is a module-scoped fixture shared by several criteria.
 import numpy as np
 import pytest
 
+from exact import constant_eigenvalue
 from hermevp import (CoefficientSet, MeshSpec, SolverConfig, Space, assemble,
                      build_mesh, convergence_study, element_matrices,
                      interp_rate_study, shape_table, solve, solve_smallest)
@@ -77,7 +78,7 @@ ENERGY_WINDOW = order_window(ENERGY_ORDER, P)
 
 # First eigenvalue of eps^2 u'''' - u'' = lambda u at eps=1e-6, clamped,
 # from an arbitrary-precision root of the characteristic equation.
-LAMBDA1_CONST_EPS1E6 = 9.869643879723
+LAMBDA1_CONST_EPS1E6 = constant_eigenvalue(1e-6, 1)
 
 
 def expx_coeffs():

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
 from hermevp.analysis import ERROR_METRICS, SAMPLES_PER_REGION
 from hermevp.cli import CSV_COLUMNS, CSV_KINDS, main
 from hermevp.csvout import write_csv
+from hermevp.element import PiecewiseFunction
+from oracle import one_pass_sup_errors, sweep_points
 
 
 def make_function(n=4, seed=0, scale=1.0, p=3):
@@ -383,6 +386,51 @@ class TestInterpRateStudy:
         for metric in ("max_err", "max_err_d1", "scaled_h2_err"):
             _, vals = rep.series(metric)
             assert np.all(np.diff(vals) < 0.0)
+
+    # sizes below one block, at a multiple of it and between multiples;
+    # multiples of 4, as the layer meshes need, for a block that is one
+    BLOCK = hermevp.analysis.INTERP_BLOCK
+    BLOCKED_NS = (BLOCK - 4, 2 * BLOCK, 2 * BLOCK + 8)
+
+    @pytest.mark.parametrize("kind", ["exp", "shishkin", "uniform"])
+    @pytest.mark.parametrize("p", [3, 5, 6])
+    def test_blocked_sup_errors_match_one_pass_sweep(self, kind, p,
+                                                     monkeypatch):
+        eps = 1e-6
+        swept = []
+        call = PiecewiseFunction.__call__
+
+        def spy(self, x, deriv=0):
+            if deriv == (0, 1):
+                swept.append(np.array(x))
+            return call(self, x, deriv)
+
+        monkeypatch.setattr(PiecewiseFunction, "__call__", spy)
+        rep = interp_rate_study(kind, eps, 1.0, p, self.BLOCKED_NS)
+        # the blocks, in order, sweep the one-pass points and no others
+        expected_points = np.concatenate([
+            sweep_points(build_mesh(MeshSpec(epsilon=eps, beta=1.0, p=p,
+                                             n_elements=n, kind=kind)))
+            for n in self.BLOCKED_NS])
+        assert np.array_equal(np.concatenate(swept), expected_points)
+        for record in rep.records:
+            expected = one_pass_sup_errors(kind, eps, 1.0, p, record.N)
+            got = (record.max_err, record.max_err_d1)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], \
+                record.N
+
+    def test_sweep_memory_is_below_one_column_of_a_full_sweep(self):
+        # the bound, fixed before measuring: one float column of the
+        # INTERP_SAMPLES * N points a one-pass sweep would hold
+        n = 8192
+        bound = 200 * n * 8
+        tracemalloc.start()
+        try:
+            interp_rate_study("exp", 1e-8, 1.0, 3, [n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"traced peak {peak} bytes, bound {bound}"
 
 
 class TestReference:

@@ -17,8 +17,11 @@ minimum of all timed runs in wall seconds, the per-round medians and
 minima, the same summary of CPU seconds under ``cpu``, and the number of
 rounds in which the after side's wall median was lower and in which its
 best run was, the statistic ``bench/run.py`` takes over its passes; with
-it the BLAS thread setting and the library versions.  BLAS is pinned to min(nproc, 2) threads before
-numpy loads, as in the benchmark.  The file is a record of the two
+it the BLAS thread setting and the library versions.  After its timed
+runs every op runs once more, untimed, under ``tracemalloc``; the largest
+of the rounds' traced peaks is the side's ``traced_peak_bytes``, the most
+memory numpy and Python allocated at once in one run.  BLAS is pinned to
+min(nproc, 2) threads before numpy loads, as in the benchmark.  The file is a record of the two
 versions on one machine; whether a difference is a gain is for its reader
 to judge from the spread.
 """
@@ -35,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -88,6 +92,18 @@ def time_op(main, argv, out_dir) -> tuple:
     return wall, cpu
 
 
+def traced_peak(main, argv, out_dir) -> int:
+    """tracemalloc's peak over one untimed run of argv, in bytes."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            main(list(argv) + ["--out", out_dir])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def one_round(src: Path, names: list) -> dict:
     """Time the named ops on the hermevp under src; runs in its own
     process."""
@@ -100,6 +116,8 @@ def one_round(src: Path, names: list) -> dict:
         out_dir = os.path.join(tmp, "out")
         runs = {name: time_op(cli_main, OPS[name], out_dir)
                 for name in names}
+        peaks = {name: traced_peak(cli_main, OPS[name], out_dir)
+                 for name in names}
     env = {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -110,7 +128,8 @@ def one_round(src: Path, names: list) -> dict:
     }
     return {"env": env,
             "times": {name: wall for name, (wall, _) in runs.items()},
-            "cpu_times": {name: cpu for name, (_, cpu) in runs.items()}}
+            "cpu_times": {name: cpu for name, (_, cpu) in runs.items()},
+            "traced_peaks": peaks}
 
 
 def summary(values: list, unit: str = "s") -> dict:
@@ -159,6 +178,7 @@ def main(argv=None) -> int:
     cpu = {side: {name: [] for name in names} for side in sides}
     medians = {side: {name: [] for name in names} for side in sides}
     minima = {side: {name: [] for name in names} for side in sides}
+    peaks = {side: {name: 0 for name in names} for side in sides}
     env = {}
     for i in range(ROUNDS):
         # the side that runs first alternates, so neither one always
@@ -172,6 +192,8 @@ def main(argv=None) -> int:
                 minima[side][name].append(min(runs))
             for name, runs in result["cpu_times"].items():
                 cpu[side][name] += runs
+            for name, peak in result["traced_peaks"].items():
+                peaks[side][name] = max(peaks[side][name], peak)
 
     ops = {}
     for name in names:
@@ -180,7 +202,8 @@ def main(argv=None) -> int:
             **{side: {**summary(times[side][name]),
                       "round_medians_s": medians[side][name],
                       "round_minima_s": minima[side][name],
-                      "cpu": summary(cpu[side][name])}
+                      "cpu": summary(cpu[side][name]),
+                      "traced_peak_bytes": peaks[side][name]}
                for side in sides},
             "after_lower_rounds": sum(
                 a < b for a, b in zip(medians["after"][name],
