@@ -9,11 +9,10 @@ rates.
 """
 
 from .analysis import (InterpRecord, InterpReport, SlopeFit, Solution,
-                       StudyRecord, StudyReport, align_sign,
-                       compute_reference, convergence_study,
-                       default_reference_n, discrete_max_error,
-                       energy_norm_error, fit_slope, interp_rate_study,
-                       sample_points, solve)
+                       StudyRecord, StudyReport, compute_reference,
+                       convergence_study, default_reference_n,
+                       discrete_max_error, energy_norm_error, fit_slope,
+                       interp_rate_study, sample_points, solve)
 from .assembly import (CoefficientSet, FEFunction, Space, SymBandMatrix,
                        assemble, element_matrices)
 from .eigensolver import (SolverConfig, Spectrum, residual_norms,
@@ -21,9 +20,8 @@ from .eigensolver import (SolverConfig, Spectrum, residual_norms,
 from .element import (HermiteData, PiecewiseFunction, QuadRule, ShapeTable,
                       eval_layer_function, gauss_rule, hermite_basis,
                       hermite_interpolant, shape_table)
-from .errors import (AmbiguousSign, AssumptionViolated, BadGrouping,
-                     CoefficientViolation, DimensionMismatch, HermevpError,
-                     InvalidLayerWidth, InvalidSpec, KTooLarge,
+from .errors import (AssumptionViolated, BadGrouping, CoefficientViolation,
+                     DimensionMismatch, HermevpError, InvalidSpec, KTooLarge,
                      NoConvergence, NonpositiveError, NotPositiveDefinite,
                      RegionOverlap, TooFewPoints, WrongMeshKind, ZeroVector)
 from .mesh import (BoundsReport, Mesh, MeshKind, MeshSpec, Region, build_mesh,
@@ -32,17 +30,17 @@ from .mesh import (BoundsReport, Mesh, MeshKind, MeshSpec, Region, build_mesh,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousSign", "AssumptionViolated", "BadGrouping", "BoundsReport",
+    "AssumptionViolated", "BadGrouping", "BoundsReport",
     "CoefficientSet", "CoefficientViolation", "DimensionMismatch",
     "FEFunction",
     "HermevpError", "HermiteData", "InterpRecord", "InterpReport",
-    "InvalidLayerWidth", "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
+    "InvalidSpec", "KTooLarge", "Mesh", "MeshKind",
     "MeshSpec", "NoConvergence", "NonpositiveError",
     "NotPositiveDefinite", "PiecewiseFunction", "QuadRule",
     "Region", "RegionOverlap", "ShapeTable",
     "SlopeFit", "Solution", "SolverConfig", "Space", "Spectrum",
     "StudyRecord", "StudyReport", "SymBandMatrix", "TooFewPoints",
-    "WrongMeshKind", "ZeroVector", "align_sign", "assemble", "build_mesh",
+    "WrongMeshKind", "ZeroVector", "assemble", "build_mesh",
     "check_mesh_bounds", "compute_reference",
     "convergence_study", "default_reference_n", "discrete_max_error",
     "element_matrices", "energy_norm_error", "eval_layer_function",

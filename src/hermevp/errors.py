@@ -80,18 +80,6 @@ class BadGrouping(HermevpError):
     exit_code = 14
 
 
-class AmbiguousSign(HermevpError):
-    """Sign alignment failed because the two vectors are L2-orthogonal."""
-
-    exit_code = 16
-
-
-class InvalidLayerWidth(HermevpError):
-    """Layer width for the discrete max norm outside (0, 1/2)."""
-
-    exit_code = 17
-
-
 class TooFewPoints(HermevpError):
     """Not enough points for a least-squares slope fit."""
 

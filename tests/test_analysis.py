@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import hermevp.analysis
-from hermevp import (AmbiguousSign, AssumptionViolated, CoefficientSet,
-                     DimensionMismatch, FEFunction, InvalidSpec, KTooLarge,
-                     MeshSpec, NoConvergence, NonpositiveError, SolverConfig,
-                     StudyRecord, StudyReport, TooFewPoints, ZeroVector,
-                     align_sign,
+from hermevp import (AssumptionViolated, CoefficientSet, DimensionMismatch,
+                     FEFunction, InvalidSpec, KTooLarge, MeshSpec,
+                     NoConvergence, NonpositiveError, SolverConfig,
+                     StudyRecord, StudyReport, TooFewPoints,
                      build_mesh, compute_reference, convergence_study,
                      default_reference_n, discrete_max_error,
                      energy_norm_error, fit_slope, gauss_rule,
@@ -35,36 +34,12 @@ def make_function(n=4, seed=0, scale=1.0, p=3):
                       bubbles=np.zeros((n, p - 3)))
 
 
-class TestAlignSign:
-    def test_matching_orientation(self):
-        assert align_sign(np.array([1.0, 2.0]), np.array([1.1, 1.9])) == 1.0
-
-    def test_flipped_orientation(self):
-        assert align_sign(np.array([1.0, 2.0]), np.array([-1.0, -2.0])) == -1.0
-
-    def test_orthogonal_samples_ambiguous(self):
-        with pytest.raises(AmbiguousSign):
-            align_sign(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            align_sign(np.zeros(3), np.ones(3))
-
-    def test_mode_axis_equals_column_calls(self):
-        rng = np.random.default_rng(11)
-        ref = rng.standard_normal((40, 3))
-        u = ref * [1.0, -1.0, 1.0] + 0.1 * rng.standard_normal((40, 3))
-        signs = align_sign(u, ref)
-        assert signs.shape == (3,)
-        assert signs.tolist() == [align_sign(u[:, m], ref[:, m])
-                                  for m in range(3)] == [1.0, -1.0, 1.0]
-
-    def test_any_failing_column_refuses(self):
-        ref = np.array([[1.0, 1.0], [2.0, 1.0]])
-        with pytest.raises(AmbiguousSign):
-            align_sign(np.array([[1.0, 1.0], [2.0, -1.0]]), ref)
-        with pytest.raises(ZeroVector):
-            align_sign(np.array([[1.0, 0.0], [2.0, 0.0]]), ref)
+def stack_modes(functions):
+    """One FEFunction holding functions as its modes."""
+    return FEFunction(
+        mesh=functions[0].mesh,
+        **{field: np.stack([getattr(f, field) for f in functions], axis=-1)
+           for field in ("node_values", "node_slopes", "bubbles")})
 
 
 class TestEnergyNormError:
@@ -271,35 +246,56 @@ class TestDiscreteMaxError:
     def test_proportional_functions(self):
         u_ref = make_function(seed=4)
         u_h = make_function(seed=4, scale=1.01)
-        pts = np.linspace(0.0, 1.0, 101)
-        assert discrete_max_error(u_h(pts), u_ref(pts)) == pytest.approx(
-            1.0, rel=1e-12)
+        assert discrete_max_error(u_h, u_ref) == pytest.approx(
+            [1.0, 1.0], rel=1e-12)
+
+    def test_negated_reference_is_exact(self):
+        u_ref = stack_modes([make_function(seed=s) for s in (7, 8, 9)])
+        u_h = FEFunction(mesh=u_ref.mesh, node_values=-u_ref.node_values,
+                         node_slopes=-u_ref.node_slopes)
+        assert discrete_max_error(u_h, u_ref).tolist() == [[0.0] * 3] * 2
+
+    def test_negating_one_mode_is_bit_identical(self):
+        # an eigenvector is defined up to sign: negating any mode of u_h
+        # gives the same value and slope errors bit for bit
+        rng = np.random.default_rng(10)
+        u_ref = stack_modes([make_function(seed=s) for s in (10, 11, 12)])
+        u_h = FEFunction(
+            mesh=u_ref.mesh,
+            node_values=u_ref.node_values + 1e-2 * rng.standard_normal((5, 3)),
+            node_slopes=u_ref.node_slopes + 1e-2 * rng.standard_normal((5, 3)))
+        errors = discrete_max_error(u_h, u_ref)
+        assert errors.shape == (2, 3)
+        assert np.all((errors > 0.0) & (errors < 100.0))
+        for m in range(3):
+            signs = np.where(np.arange(3) == m, -1.0, 1.0)
+            flipped = FEFunction(mesh=u_h.mesh,
+                                 node_values=signs * u_h.node_values,
+                                 node_slopes=signs * u_h.node_slopes)
+            assert discrete_max_error(flipped, u_ref).tolist() \
+                == errors.tolist()
+
+    def test_mode_axis_equals_column_calls(self):
+        modes = [make_function(seed=s) for s in (15, 16, 17)]
+        u_ref = stack_modes(modes)
+        u_h = stack_modes([make_function(seed=s, scale=1.0 + 0.01 * s)
+                           for s in (15, 16, 17)])
+        errors = discrete_max_error(u_h, u_ref)
+        for m, ref in enumerate(modes):
+            alone = make_function(seed=15 + m, scale=1.0 + 0.01 * (15 + m))
+            assert errors[:, m].tolist() \
+                == discrete_max_error(alone, ref).tolist()
+
+    def test_reference_with_fewer_modes_refused(self):
+        u_h = stack_modes([make_function(seed=s) for s in (13, 14)])
+        with pytest.raises(DimensionMismatch):
+            discrete_max_error(u_h, make_function(seed=13))
 
     def test_zero_reference_rejected(self):
         u_ref = make_function(seed=5, scale=0.0)
         u_h = make_function(seed=5)
-        pts = np.linspace(0, 1, 11)
         with pytest.raises(NonpositiveError):
-            discrete_max_error(u_h(pts), u_ref(pts))
-
-    def test_needs_points(self):
-        u = make_function(seed=6)
-        with pytest.raises(TooFewPoints):
-            discrete_max_error(u(0.5), u(0.5))
-        with pytest.raises(TooFewPoints):
-            discrete_max_error(np.ones((1, 3)), np.ones((1, 3)))
-
-    def test_mode_axis_equals_column_calls(self):
-        rng = np.random.default_rng(12)
-        ref = rng.standard_normal((60, 3))
-        u_h = ref + 1e-3 * rng.standard_normal((60, 3))
-        errors = discrete_max_error(u_h, ref)
-        assert errors.shape == (3,)
-        assert errors.tolist() == [discrete_max_error(u_h[:, m], ref[:, m])
-                                   for m in range(3)]
-        ref[:, 1] = 0.0
-        with pytest.raises(NonpositiveError):
-            discrete_max_error(u_h, ref)
+            discrete_max_error(u_h, u_ref)
 
 
 class TestSamplePoints:

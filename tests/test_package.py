@@ -155,8 +155,8 @@ def test_derived_values_are_not_inputs():
     assert list(inspect.signature(hermevp.sample_points).parameters) \
         == ["mesh"]
     assert settable(hermevp.Solution) == ["space", "spectrum", "function"]
-    assert list(inspect.signature(hermevp.energy_norm_error).parameters) \
-        == ["u_h", "u_ref"]
+    for error in (hermevp.energy_norm_error, hermevp.discrete_max_error):
+        assert list(inspect.signature(error).parameters) == ["u_h", "u_ref"]
     assert settable(hermevp.InterpReport) == ["records"]
     # every study fit is taken against dof, and a fit holds only its line
     for method in (hermevp.StudyReport.series, hermevp.StudyReport.order):

@@ -1,6 +1,6 @@
 """Metamorphic relations: checks of the whole chain that need no reference
 solve, because the answer to one input is known from the answer to
-another.  Both run on a = e^x, b = x with the four lowest modes, over a
+another.  Each runs on a = e^x, b = x with the four lowest modes, over a
 fixed grid of cases; a case that fails is a finding to report, not one to
 draw again.
 
@@ -22,6 +22,16 @@ absolute form |u|^T |K| |u| + lambda_k |u|^T |M| |u| of the M-normalized
 k-th eigenvector u of that degree.  s_k / lambda_k is the condition
 factor: the size of the terms that cancel in lambda = u^T K u / u^T M u
 relative to the result.  This tolerance was fixed before any case was run.
+
+Shift.  b -> b + s adds s M to K, so lambda_k(b + s) = lambda_k(b) + s
+in exact arithmetic.  The test allows, for s in {1, 1000},
+
+    |lambda_k(b + s) - lambda_k(b) - s|
+        <= 8 (w + 1) u_mach (s_k(b) + s_k(b + s)),
+
+with w the band's bandwidth and s_k the absolute form above of the k-th
+eigenvector of each problem, a tolerance also fixed before any case was
+run.
 """
 
 from dataclasses import replace
@@ -38,9 +48,9 @@ EPSILONS = (1e-2, 1e-5, 1e-8)
 U_MACH = np.finfo(float).eps
 
 
-def base_coeffs(scale=1.0):
+def base_coeffs(scale=1.0, shift=0.0):
     return CoefficientSet(a=lambda x: scale * np.exp(x),
-                          b=lambda x: scale * x)
+                          b=lambda x: scale * x + shift)
 
 
 @pytest.mark.parametrize("epsilon", EPSILONS)
@@ -63,6 +73,15 @@ def absolute_form(A, u):
     return (au * (np.abs(to_dense(A)) @ au)).sum(axis=0)
 
 
+def lowest_with_slack(space, coeffs):
+    """The MODES lowest eigenvalues on space and each one's absolute form
+    s_k = |u|^T |K| |u| + lambda_k |u|^T |M| |u|."""
+    K, M = assemble(space, coeffs)
+    spectrum = solve_smallest(K, M, SolverConfig(k=MODES))
+    lam, u = spectrum.eigenvalues, spectrum.eigenvectors
+    return lam, absolute_form(K, u) + lam * absolute_form(M, u)
+
+
 @pytest.mark.parametrize("epsilon", EPSILONS)
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -70,14 +89,22 @@ def absolute_form(A, u):
 def test_degree_p_plus_one_lowers_every_eigenvalue(kind, p, n, epsilon):
     mesh = build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
                                n_elements=n, kind=kind))
-    coeffs = base_coeffs()
-    lams, slack = [], []
-    for degree in (p, p + 1):
-        space = Space(mesh, degree)
-        K, M = assemble(space, coeffs)
-        spectrum = solve_smallest(K, M, SolverConfig(k=MODES))
-        lam, u = spectrum.eigenvalues, spectrum.eigenvectors
-        lams.append(lam)
-        slack.append(absolute_form(K, u) + lam * absolute_form(M, u))
-    tol = 8 * (space.bandwidth + 1) * U_MACH * (slack[0] + slack[1])
-    assert np.all(lams[1] - lams[0] <= tol), (lams[1] - lams[0]) / tol
+    lam_p, slack_p = lowest_with_slack(Space(mesh, p), base_coeffs())
+    space = Space(mesh, p + 1)
+    lam_q, slack_q = lowest_with_slack(space, base_coeffs())
+    tol = 8 * (space.bandwidth + 1) * U_MACH * (slack_p + slack_q)
+    assert np.all(lam_q - lam_p <= tol), (lam_q - lam_p) / tol
+
+
+@pytest.mark.parametrize("shift", [1.0, 1000.0])
+@pytest.mark.parametrize("epsilon", EPSILONS)
+@pytest.mark.parametrize("p,n", [(3, 64), (5, 256)])
+@pytest.mark.parametrize("kind", list(MeshKind), ids=str)
+def test_shifting_b_shifts_every_eigenvalue(kind, p, n, epsilon, shift):
+    space = Space(build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
+                                      n_elements=n, kind=kind)), p)
+    lam, slack = lowest_with_slack(space, base_coeffs())
+    lam_s, slack_s = lowest_with_slack(space, base_coeffs(shift=shift))
+    tol = 8 * (space.bandwidth + 1) * U_MACH * (slack + slack_s)
+    miss = np.abs(lam_s - lam - shift)
+    assert np.all(miss <= tol), miss / tol

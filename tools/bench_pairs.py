@@ -14,6 +14,11 @@ metrics and, per end-to-end metric, each side's median and quartiles
 that is lower, as every end-to-end metric is;
 with them each side's failed and attempted op totals.  Whether a
 difference is a gain is for its reader to judge from the spread.
+
+Each pair is printed to stderr as one JSON line as soon as both of its
+runs end.  If a run exits non-zero, no further run starts: stdout gets
+one JSON holding the pairs finished so far and that run's side, seed,
+exit code and last STDERR_TAIL lines of stderr, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -28,15 +33,24 @@ from time_ops import summary
 
 SECONDS = 30
 MIN_PAIRS = 2                   # quartiles need two values per side
+STDERR_TAIL = 20
 
 
-def run_bench(root: Path, workload: str, seed: int) -> dict:
-    """The result object, the last line bench/run.py prints."""
-    proc = subprocess.run(
+def run_bench(root: Path, workload: str,
+              seed: int) -> subprocess.CompletedProcess:
+    """One bench/run.py run; its last stdout line is the result object."""
+    return subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=root, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+        cwd=root, capture_output=True, text=True)
+
+
+def pair_row(run: dict) -> dict:
+    """One pair's seed, first side and each side's metric values."""
+    return {"seed": run["seed"], "first": run["first"],
+            **{side: {name: m["value"]
+                      for name, m in run[side]["metrics"].items()}
+               for side in ("parent", "change")}}
 
 
 def main(argv=None) -> int:
@@ -60,9 +74,21 @@ def main(argv=None) -> int:
     runs = []
     for seed in range(first_seed, first_seed + pairs):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        runs.append({"seed": seed, "first": order[0],
-                     **{side: run_bench(sides[side], workload, seed)
-                        for side in order}})
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            proc = run_bench(sides[side], workload, seed)
+            if proc.returncode:
+                tail = proc.stderr.splitlines()[-STDERR_TAIL:]
+                json.dump({"failed": {"side": side, "seed": seed,
+                                      "returncode": proc.returncode,
+                                      "stderr_tail": tail},
+                           "pairs": [pair_row(r) for r in runs]},
+                          sys.stdout, indent=1)
+                sys.stdout.write("\n")
+                return 1
+            run[side] = json.loads(proc.stdout.splitlines()[-1])
+        runs.append(run)
+        print(json.dumps(pair_row(run)), file=sys.stderr, flush=True)
 
     metrics = {}
     for name, metric in runs[0]["parent"]["metrics"].items():
@@ -85,10 +111,7 @@ def main(argv=None) -> int:
         "ops": {side: {key: sum(r[side][key] for r in runs)
                        for key in ("failed", "attempted")}
                 for side in sides},
-        "pairs": [{"seed": r["seed"], "first": r["first"],
-                   **{side: {name: m["value"]
-                             for name, m in r[side]["metrics"].items()}
-                      for side in sides}} for r in runs],
+        "pairs": [pair_row(r) for r in runs],
     }
     json.dump(record, sys.stdout, indent=1)
     sys.stdout.write("\n")
