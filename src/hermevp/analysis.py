@@ -30,6 +30,7 @@ from .errors import (AssumptionViolated, DimensionMismatch, InvalidSpec,
                      KTooLarge, NonpositiveError, TooFewPoints)
 from .mesh import Mesh, MeshKind, MeshSpec, build_mesh
 
+
 def energy_norm_error(u_h: FEFunction, u_ref: FEFunction):
     """Percent error |||u_h -+ u_ref||| / |||u_ref||| * 100 against the
     nearer of +-u_ref, so either sign of u_h gives the same value bit for
@@ -40,8 +41,8 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction):
     functions are polynomials of degree <= p there, the integrands have
     degree <= 2p, and p+1 Gauss points are exact to degree 2p+1.  A u_h
     with a mode axis gives one error per mode, against u_ref's modes in
-    order, each equal bit for bit to the single-mode call; u_ref may hold
-    more modes than u_h."""
+    order, each equal bit for bit to the single-mode call; u_ref must hold
+    as many modes as u_h."""
     breaks = np.union1d(u_h.mesh.nodes, u_ref.mesh.nodes)
     rule = gauss_rule(max(u_h.p, u_ref.p) + 1)
     widths = np.diff(breaks)
@@ -60,8 +61,8 @@ def energy_norm_error(u_h: FEFunction, u_ref: FEFunction):
 
     dh = derivatives(u_h)
     dr = derivatives(u_ref)
-    if dr.shape[2] < dh.shape[2]:
-        raise DimensionMismatch(f"u_h has {dh.shape[2]} modes, u_ref only "
+    if dr.shape[2] != dh.shape[2]:
+        raise DimensionMismatch(f"u_h has {dh.shape[2]} modes, u_ref "
                                 f"{dr.shape[2]}")
     errors = []
     for m in range(dh.shape[2]):
@@ -105,17 +106,18 @@ def discrete_max_error(u_h: FEFunction, u_ref: FEFunction):
     """Percent sup-norm errors of u_h's value and slope against the nearer
     of +-u_ref, min(max|u_h - u_ref|, max|u_h + u_ref|) / max|u_ref| over
     sample_points(u_h.mesh), so either sign of u_h gives the same value
-    bit for bit.  The value and slope errors come back along the first
-    axis; a u_h with a mode axis gives one pair per mode, against u_ref's
-    modes in order, and u_ref may hold more modes than u_h."""
+    bit for bit.  The value and slope errors each take their own nearer
+    sign, so on an unconverged rung the two can be measured against
+    opposite signs of a mode.  They come back along the first axis; a u_h
+    with a mode axis gives one pair per mode, against u_ref's modes in
+    order, and u_ref must hold as many modes as u_h."""
     pts = sample_points(u_h.mesh)
     # every mode in one located pass: (point, order, mode)
     dh = u_h(pts, (0, 1)).reshape(len(pts), 2, -1)
     dr = u_ref(pts, (0, 1)).reshape(len(pts), 2, -1)
-    if dr.shape[2] < dh.shape[2]:
-        raise DimensionMismatch(f"u_h has {dh.shape[2]} modes, u_ref only "
+    if dr.shape[2] != dh.shape[2]:
+        raise DimensionMismatch(f"u_h has {dh.shape[2]} modes, u_ref "
                                 f"{dr.shape[2]}")
-    dr = dr[:, :, :dh.shape[2]]
     denom = np.abs(dr).max(axis=0)
     if np.any(denom <= 0.0):
         raise NonpositiveError("reference is identically zero on the samples")

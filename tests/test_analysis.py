@@ -285,11 +285,25 @@ class TestDiscreteMaxError:
             alone = make_function(seed=15 + m, scale=1.0 + 0.01 * (15 + m))
             assert errors[:, m].tolist() \
                 == discrete_max_error(alone, ref).tolist()
+        # one zero mode of the reference refuses the whole call
+        u_ref = stack_modes([make_function(seed=15),
+                             make_function(seed=16, scale=0.0),
+                             make_function(seed=17)])
+        with pytest.raises(NonpositiveError):
+            discrete_max_error(u_h, u_ref)
 
     def test_reference_with_fewer_modes_refused(self):
         u_h = stack_modes([make_function(seed=s) for s in (13, 14)])
         with pytest.raises(DimensionMismatch):
             discrete_max_error(u_h, make_function(seed=13))
+
+    def test_reference_with_more_modes_refused(self):
+        # both study errors need one reference mode per mode of u_h
+        u_h = stack_modes([make_function(seed=s) for s in (13, 14)])
+        u_ref = stack_modes([make_function(seed=s) for s in (13, 14, 15)])
+        for error in (discrete_max_error, energy_norm_error):
+            with pytest.raises(DimensionMismatch):
+                error(u_h, u_ref)
 
     def test_zero_reference_rejected(self):
         u_ref = make_function(seed=5, scale=0.0)
