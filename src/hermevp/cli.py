@@ -200,8 +200,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     for m in range(modes):
         u, du = float_fields(u_du[:, :, m].T).reshape(2, -1)
         write_columns(os.path.join(out, f"mode_{m + 1}.csv"),
-                      ("x", "u", "du"), (float, float, float),
-                      (x_fields, u, du))
+                      ("x", "u", "du"), (x_fields, u, du))
 
     print(f"mesh {ns.mesh.value}, N={ns.n}, p={ns.p}, epsilon={ns.epsilon:g}, "
           f"dof={sol.space.n_free}")

@@ -11,13 +11,10 @@ given the same fields with each float preformatted as ``%.17g``.
 
 Two renderers produce these bytes.
 
-Record-sized writes, rows or columns of Python values (the study records,
-``eigenvalues.csv``, ``interp.csv``, ``table1.csv``, ``mesh.csv``), are
-rendered with one ``%`` operation per batch: the row format repeated once
-per row, applied to all the fields in one flat list, laid out column by
-column with slice assignments.  A column that holds a ``None`` is turned
-into text first, its blank cells empty, and rendered as ``%s``.  A numpy
-pass costs about 100 us per call, more than ``%`` spends on a few rows.
+Rows of Python values (the study records, ``eigenvalues.csv``,
+``interp.csv``, ``table1.csv``, ``mesh.csv``) are rendered with one ``%``
+operation per row, of a row format made once per writer; a row that holds
+a ``None`` is joined field by field, the ``None`` as an empty field.
 
 Float columns given as numpy arrays (the mode files' ``x``, ``u`` and
 ``du``) are rendered by ``float_fields``, a vectorized kernel whose bytes
@@ -43,15 +40,14 @@ rows at a time, so the temporaries stay bounded whatever the file length;
 CHUNK is the fastest of those measured on the benchmark's ``fine_solve``
 files (``BENCH_2026-10-19_csv-kernel.json``).
 
-A float file is written this way when every column is passed rendered,
-as ``float_fields`` gives it; a raw float array takes the ``%`` path like
-any other column.  The mode files' x column joins the grid's fields,
-rendered once per process, with those of the mesh nodes, and each mode's
-u and u' are rendered in one ``float_fields`` call as its file is
-written, so only one file's fields are held at a time.
+``write_columns`` writes a float file this way from columns passed
+rendered, as ``float_fields`` gives them.  The mode files' x column joins
+the grid's fields, rendered once per process, with those of the mesh
+nodes, and each mode's u and u' are rendered in one ``float_fields`` call
+as its file is written, so only one file's fields are held at a time.
 
 Every row (or column) is checked for its length first; one of the wrong
-length raises ``DimensionMismatch`` before anything is written, instead of
+length raises ``DimensionMismatch`` before any row is written, instead of
 shifting fields into its neighbours.
 """
 
@@ -82,16 +78,6 @@ _MODES = 23             # fixed for X = -4..16, scientific e±XX and e±XXX
 # Byte offsets in a kernel row of eight 4-byte words: "0000", "000" and
 # the 17 digits, NUL . - e, the exponent's sign and three digits.
 _DIG, _NUL, _DOT, _MINUS, _E, _EXP, _ROW = 7, 24, 25, 26, 27, 28, 32
-
-
-def _field(kind) -> str:
-    return FLOAT_FIELD if kind is float else "%s"
-
-
-def _row_format(kinds) -> str:
-    """%-format string of one row, one field per column kind; floats as
-    %.17g and every other kind as %s."""
-    return ",".join(map(_field, kinds)) + ROW_END
 
 
 def _pow10():
@@ -250,7 +236,7 @@ def _numbers(values) -> np.ndarray:
 
 def float_fields(values) -> np.ndarray:
     """'%.17g' % v of every value as FIELD_DTYPE bytes.  A float column
-    several files share is rendered once and passed to writecolumns in
+    several files share is rendered once and passed to write_columns in
     place of its values."""
     v = _numbers(values)
     out = np.empty(len(v), FIELD_DTYPE)
@@ -258,10 +244,6 @@ def float_fields(values) -> np.ndarray:
     for start in range(0, len(v), CHUNK):
         _render(v[start:start + CHUNK], rows[start:start + CHUNK])
     return out
-
-
-def _is_fields_column(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype == FIELD_DTYPE
 
 
 def _write_fields(fh, columns, n_rows) -> None:
@@ -287,43 +269,29 @@ class CsvWriter:
 
     def __init__(self, fh, header, kinds):
         self.fh = fh
-        self.kinds = tuple(kinds)
+        self.fields = [FLOAT_FIELD if kind is float else "%s"
+                       for kind in kinds]
+        self.row_format = ",".join(self.fields) + ROW_END
         fh.write(",".join(header) + ROW_END)
 
     def writerows(self, rows) -> None:
-        """Rows as sequences of Python values, one per column."""
+        """Rows as sequences of Python values, one per column; a row is
+        one % of the row format, or, if it holds a None, its fields are
+        joined one by one, each None as an empty field."""
         rows = list(rows)
-        widths = set(map(len, rows)) - {len(self.kinds)}
+        width = len(self.fields)
+        widths = set(map(len, rows)) - {width}
         if widths:
             raise DimensionMismatch(
-                f"CSV rows must have {len(self.kinds)} fields, got rows "
-                f"of {sorted(widths)}")
-        self.writecolumns(list(zip(*rows)) or [()] * len(self.kinds))
+                f"CSV rows must have {width} fields, got rows of "
+                f"{sorted(widths)}")
+        self.fh.write("".join([self.row_format % tuple(row)
+                               if None not in row else self._join(row)
+                               for row in rows]))
 
-    def writecolumns(self, columns) -> None:
-        """Columns of one length, one per column kind; row i holds item i
-        of each.  Columns hold Python values, or, when every kind is
-        float, all of them may be float_fields output; then their fields
-        are copied into the rows."""
-        width = len(self.kinds)
-        lengths = set(map(len, columns))
-        if len(columns) != width or len(lengths) > 1:
-            raise DimensionMismatch(
-                f"CSV needs {width} columns of one length, got lengths "
-                f"{[len(c) for c in columns]}")
-        n_rows = lengths.pop()
-        if self.kinds == (float,) * width and all(map(_is_fields_column,
-                                                      columns)):
-            _write_fields(self.fh, columns, n_rows)
-            return
-        kinds = list(self.kinds)
-        fields = [None] * (width * n_rows)
-        for j, column in enumerate(columns):
-            if None in column:
-                field, kinds[j] = _field(kinds[j]), str
-                column = ["" if v is None else field % v for v in column]
-            fields[j::width] = column
-        self.fh.write((_row_format(kinds) * n_rows) % tuple(fields))
+    def _join(self, row) -> str:
+        return ",".join(["" if v is None else field % v
+                         for field, v in zip(self.fields, row)]) + ROW_END
 
     def writerow(self, row) -> None:
         self.writerows((row,))
@@ -335,8 +303,14 @@ def write_csv(path, header, kinds, rows) -> None:
         CsvWriter(fh, header, kinds).writerows(rows)
 
 
-def write_columns(path, header, kinds, columns) -> None:
-    """Write a whole CSV file: header, then one column of values per kind
-    (see CsvWriter.writecolumns)."""
+def write_columns(path, header, columns) -> None:
+    """Write a whole float CSV file: header, then one float_fields column
+    per header name; row i holds field i of each."""
+    lengths = set(map(len, columns))
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise DimensionMismatch(
+            f"CSV needs {len(header)} columns of one length, got lengths "
+            f"{[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
-        CsvWriter(fh, header, kinds).writecolumns(columns)
+        fh.write(",".join(header) + ROW_END)
+        _write_fields(fh, columns, lengths.pop())

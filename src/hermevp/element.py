@@ -189,12 +189,11 @@ def piecewise_eval(breaks: np.ndarray, coeffs: np.ndarray, x, deriv=0,
     if piece is None:
         g = np.searchsorted(breaks, x, side="right") - 1
         np.clip(g, 0, n_pieces - 1, out=g)
-        inv_h = np.take(1.0 / np.diff(breaks), g)
-        t = (x - np.take(breaks, g)) * inv_h
     else:
         g = np.asarray(piece)
-        inv_h = np.take(1.0 / np.diff(breaks), g)
-        t = x
+    left = np.take(breaks, g)
+    inv_h = 1.0 / (np.take(breaks, g + 1) - left)
+    t = (x - left) * inv_h if piece is None else x
     table = coeffs.reshape(n_pieces, n_coef, -1).transpose(1, 2, 0)
     out = np.empty((len(orders), table.shape[1], len(t)))
     row = np.empty(out.shape[1:])

@@ -29,13 +29,18 @@ def csv_writer_bytes(header, rows):
     return fh.getvalue()
 
 
-def written(tmp_path, header, kinds, rows, by_columns=False):
+def written(tmp_path, header, kinds, rows, way="rows"):
+    """The bytes of rows written by write_csv ("rows"), one at a time by
+    CsvWriter.writerow ("streamed") or, all floats, as float_fields
+    columns by write_columns ("fields")."""
     path = tmp_path / "out.csv"
-    if by_columns == "fields":
-        write_columns(path, header, kinds,
-                      [float_fields(c) for c in zip(*rows)])
-    elif by_columns:
-        write_columns(path, header, kinds, [list(c) for c in zip(*rows)])
+    if way == "fields":
+        write_columns(path, header, [float_fields(c) for c in zip(*rows)])
+    elif way == "streamed":
+        with open(path, "w", newline="") as fh:
+            writer = CsvWriter(fh, header, kinds)
+            for row in rows:
+                writer.writerow(row)
     else:
         write_csv(path, header, kinds, rows)
     return path.read_bytes()
@@ -69,9 +74,8 @@ class TestWriter:
         x = float_fields(table[:, 0])
         path = tmp_path / "shared.csv"
         for u, du in ((1, 2), (2, 1)):
-            write_columns(path, header, (float,) * 3,
-                          (x, float_fields(table[:, u]),
-                           float_fields(table[:, du])))
+            write_columns(path, header, (x, float_fields(table[:, u]),
+                                         float_fields(table[:, du])))
             assert path.read_bytes() == csv_writer_bytes(
                 header, table[:, [0, u, du]].tolist()).encode()
 
@@ -89,11 +93,10 @@ class TestWriter:
         assert fh.getvalue().encode() == csv_writer_bytes(header,
                                                           rows).encode()
 
-    @pytest.mark.parametrize("by_columns", [False, True],
-                             ids=["rows", "columns"])
-    def test_large_file_matches_csv_writer(self, tmp_path, by_columns):
-        # one %-format over the whole batch; every special value in every
-        # float column, around 3000 rows of random magnitudes
+    @pytest.mark.parametrize("way", ["rows", "streamed"])
+    def test_large_file_matches_csv_writer(self, tmp_path, way):
+        # one %-format per row; every special value in every float column,
+        # around 3000 rows of random magnitudes
         rng = np.random.default_rng(1)
         n = 3001
         values = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(
@@ -105,20 +108,19 @@ class TestWriter:
         header = ("index", "region", "u", "du")
         expect = csv_writer_bytes(header, rows).encode()
         assert written(tmp_path, header, (int, str, float, float), rows,
-                       by_columns) == expect
+                       way) == expect
 
-    @pytest.mark.parametrize("by_columns", [False, True],
-                             ids=["rows", "columns"])
+    @pytest.mark.parametrize("way", ["rows", "streamed"])
     @pytest.mark.parametrize("column", [0, 1, 2], ids=["int", "str", "float"])
     def test_none_gives_empty_field_in_any_column(self, tmp_path, column,
-                                                  by_columns):
+                                                  way):
         header = ("n", "kind", "value")
         kinds = (int, str, float)
         rows = [[16, "exp", 0.25], [32, "shishkin", -1e-300],
                 [64, "uniform", 3.5]]
         rows[1][column] = None
         expect = csv_writer_bytes(header, rows).encode()
-        got = written(tmp_path, header, kinds, rows, by_columns)
+        got = written(tmp_path, header, kinds, rows, way)
         assert got == expect
         assert got.split(b"\r\n")[2].split(b",")[column] == b""
 
@@ -144,25 +146,22 @@ class TestWriter:
     @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 4), (3, 3),
                                          (3, 3, 3, 3)])
     def test_wrong_columns_raise_before_writing(self, tmp_path, lengths):
-        columns = [[0.5 * i] * n for i, n in enumerate(lengths)]
-        fh = io.StringIO(newline="")
-        writer = CsvWriter(fh, ("a", "b", "c"), (float,) * 3)
+        # a wrong column count or unequal lengths: no file is written
+        columns = [float_fields([0.5 * i] * n) for i, n in enumerate(lengths)]
+        path = tmp_path / "out.csv"
         with pytest.raises(DimensionMismatch):
-            writer.writecolumns(columns)
-        assert fh.getvalue() == "a,b,c\r\n"
+            write_columns(path, ("a", "b", "c"), columns)
+        assert not path.exists()
 
     def test_string_in_float_column_still_raises(self):
         writer = CsvWriter(io.StringIO(newline=""), ("n", "x"), (int, float))
         with pytest.raises(TypeError):
-            writer.writecolumns([[1, 2], [0.5, "0.25"]])
+            writer.writerows([(1, 0.5), (2, "0.25")])
         with pytest.raises(TypeError):
             writer.writerows([(1, 0.5), (None, "0.25")])
         # numpy would parse "0.25" as a float: the kernel checks types first
         with pytest.raises(TypeError):
             float_fields(["0.25"])
-        writer = CsvWriter(io.StringIO(newline=""), ("x", "y"), (float,) * 2)
-        with pytest.raises(TypeError):
-            writer.writecolumns([np.array([0.5]), np.array(["0.25"])])
 
     @pytest.mark.parametrize("chunk", [None, 7], ids=["one-pass", "chunked"])
     def test_float_arrays_match_lists(self, tmp_path, monkeypatch, chunk):
@@ -177,23 +176,15 @@ class TestWriter:
         header = ("x", "u", "du")
         rows = values.tolist()
         expect = csv_writer_bytes(header, rows).encode()
-        assert written(tmp_path, header, (float,) * 3, rows, True) == expect
+        assert written(tmp_path, header, (float,) * 3, rows) == expect
         assert written(tmp_path, header, (float,) * 3, rows,
                        "fields") == expect
         # the rows of one float_fields call over all columns, as a solve
         # renders u and u'
         path = tmp_path / "stacked.csv"
         fields = float_fields(values.T).reshape(3, -1)
-        write_columns(path, header, (float,) * 3, list(fields))
+        write_columns(path, header, list(fields))
         assert path.read_bytes() == expect
-        # raw float arrays are written by the % path like any column
-        write_columns(path, header, (float,) * 3,
-                      [values[:, j] for j in range(3)])
-        assert path.read_bytes() == expect
-        # any text file will do, one without a binary buffer too
-        fh = io.StringIO(newline="")
-        CsvWriter(fh, header, (float,) * 3).writecolumns(list(fields))
-        assert fh.getvalue().encode() == expect
 
 
 def percent_fields(values):

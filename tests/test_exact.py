@@ -1,12 +1,13 @@
 """The constant-coefficient oracle against its 40-digit values, its
-eigenfunctions against the equation and the clamped ends, and solve's
-first mode against its eigenfunction."""
+eigenfunctions against the equation and the clamped ends, solve's first
+mode against its eigenfunction, and the p = 4 eigenvalue errors against
+the proved order."""
 
 import numpy as np
 import pytest
 
 from exact import constant_eigenfunction, constant_eigenvalue
-from hermevp import MeshSpec, SolverConfig, solve
+from hermevp import MeshSpec, SolverConfig, fit_slope, solve
 from hermevp.cli import resolve_coefficients
 
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -47,3 +48,27 @@ def test_solve_mode_one_matches_the_eigenfunction():
     u = constant_eigenfunction(epsilon, 1)(GRID)
     scale = (u_h @ u) / (u_h @ u_h)        # least squares, sign included
     assert np.abs(scale * u_h - u).max() <= bound * np.abs(u).max()
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-6, 1e-8])
+def test_p4_eigenvalue_errors_fall_at_the_proved_order(epsilon):
+    # the window is fixed before measuring: [r - 0.3, r + 1.3] around the
+    # proved order r = 2 (p - 1) of the relative error against dof
+    p, modes = 4, 3
+    r = 2 * (p - 1)
+    exact = np.array([constant_eigenvalue(epsilon, j)
+                      for j in range(1, modes + 1)])
+    dofs, errors = [], []
+    for n in (8, 16, 32, 64):
+        sol = solve(MeshSpec(epsilon=epsilon, beta=1.0, p=p, n_elements=n,
+                             kind="exp"),
+                    resolve_coefficients("const", None, None),
+                    SolverConfig(k=modes))
+        dofs.append(sol.space.n_free)
+        errors.append(sol.spectrum.eigenvalues / exact - 1.0)
+    errors = np.array(errors)
+    # a conforming method has lambda_h >= lambda, so a negative error is a
+    # rung at the rounding floor, where no order can be fitted
+    assert np.all(errors > 0.0), errors
+    orders = [fit_slope(dofs, errors[:, j]).slope for j in range(modes)]
+    assert all(r - 0.3 <= order <= r + 1.3 for order in orders), orders

@@ -32,6 +32,20 @@ in exact arithmetic.  The test allows, for s in {1, 1000},
 with w the band's bandwidth and s_k the absolute form above of the k-th
 eigenvector of each problem, a tolerance also fixed before any case was
 run.
+
+Reflection.  x -> 1 - x maps the clamped problem with a(1 - x), b(1 - x)
+onto the one with a, b, and every mesh is its own mirror image, so
+lambda_k is the same for both in exact arithmetic.  The test allows
+
+    |lambda_k(reflected) - lambda_k| <= 8 (w + 1) u_mach (s_k + s_k'),
+
+s_k' the absolute form of the reflected problem's k-th eigenvector.
+
+Monotonicity.  Raising a or b anywhere raises the Rayleigh quotient of
+every function, so by Courant-Fischer each lambda_k rises.  For
+a -> 1.01 a and for b -> b + sin^2(3x) the rise must exceed the same
+tolerance, s_k' now of the raised problem.  Both relations run over the
+grid of the shift relation, with the tolerance fixed before any case ran.
 """
 
 from dataclasses import replace
@@ -96,15 +110,46 @@ def test_degree_p_plus_one_lowers_every_eigenvalue(kind, p, n, epsilon):
     assert np.all(lam_q - lam_p <= tol), (lam_q - lam_p) / tol
 
 
+def change_with_slack(kind, p, n, epsilon, coeffs):
+    """On the degree-p space of the grid case: lambda_k(coeffs) less
+    lambda_k of a = e^x, b = x, for the MODES lowest k, and the tolerance
+    8 (w + 1) u_mach (s_k + s_k') of the pair."""
+    space = Space(build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
+                                      n_elements=n, kind=kind)), p)
+    lam, slack = lowest_with_slack(space, base_coeffs())
+    lam_c, slack_c = lowest_with_slack(space, coeffs)
+    return lam_c - lam, 8 * (space.bandwidth + 1) * U_MACH * (slack + slack_c)
+
+
 @pytest.mark.parametrize("shift", [1.0, 1000.0])
 @pytest.mark.parametrize("epsilon", EPSILONS)
 @pytest.mark.parametrize("p,n", [(3, 64), (5, 256)])
 @pytest.mark.parametrize("kind", list(MeshKind), ids=str)
 def test_shifting_b_shifts_every_eigenvalue(kind, p, n, epsilon, shift):
-    space = Space(build_mesh(MeshSpec(epsilon=epsilon, beta=1.0, p=p,
-                                      n_elements=n, kind=kind)), p)
-    lam, slack = lowest_with_slack(space, base_coeffs())
-    lam_s, slack_s = lowest_with_slack(space, base_coeffs(shift=shift))
-    tol = 8 * (space.bandwidth + 1) * U_MACH * (slack + slack_s)
-    miss = np.abs(lam_s - lam - shift)
+    change, tol = change_with_slack(kind, p, n, epsilon,
+                                    base_coeffs(shift=shift))
+    miss = np.abs(change - shift)
     assert np.all(miss <= tol), miss / tol
+
+
+@pytest.mark.parametrize("epsilon", EPSILONS)
+@pytest.mark.parametrize("p,n", [(3, 64), (5, 256)])
+@pytest.mark.parametrize("kind", list(MeshKind), ids=str)
+def test_reflecting_the_coefficients_keeps_every_eigenvalue(kind, p, n,
+                                                            epsilon):
+    change, tol = change_with_slack(kind, p, n, epsilon, CoefficientSet(
+        a=lambda x: np.exp(1.0 - x), b=lambda x: 1.0 - x))
+    assert np.all(np.abs(change) <= tol), change / tol
+
+
+@pytest.mark.parametrize("raised", [
+    CoefficientSet(a=lambda x: 1.01 * np.exp(x), b=lambda x: x),
+    CoefficientSet(a=np.exp, b=lambda x: x + np.sin(3.0 * x) ** 2),
+], ids=["a-times-1.01", "b-plus-sin2-3x"])
+@pytest.mark.parametrize("epsilon", EPSILONS)
+@pytest.mark.parametrize("p,n", [(3, 64), (5, 256)])
+@pytest.mark.parametrize("kind", list(MeshKind), ids=str)
+def test_raising_a_coefficient_raises_every_eigenvalue(kind, p, n, epsilon,
+                                                       raised):
+    rise, tol = change_with_slack(kind, p, n, epsilon, raised)
+    assert np.all(rise > tol), rise / tol

@@ -11,10 +11,11 @@ of one comparison taking turns so that drift in machine speed hits them
 alike:
 
 - ns per float of ``float_fields`` and of ``'%.17g' % v`` over a list;
-- the five mode files written as the solve writes them: the shared ``x``
-  fields rendered once, then each file's ``u`` and ``u'`` rendered in one
-  ``float_fields`` call and written as fields, against the same files
-  from lists through the ``%`` path, ``x`` preformatted once as strings;
+- the five mode files written, into a temporary directory, as the solve
+  writes them: the shared ``x`` fields rendered once, then each file's
+  ``u`` and ``u'`` rendered in one ``float_fields`` call and written by
+  ``write_columns``, against the same files from lists by ``write_csv``,
+  one ``%`` per row, ``x`` preformatted once as strings;
 - the kernel's five files again for each of CHUNK_SWEEP as
   ``csvout.CHUNK``.
 
@@ -53,6 +54,70 @@ def timed(fns: dict, scale: float, unit: str) -> dict:
     return {name: summary(values, unit) for name, values in times.items()}
 
 
+def measure(tables, expect, out: Path):
+    """The timings of the record on the mode files' columns, each way
+    writing its five files into out; None if a way's bytes differ from
+    expect."""
+    import numpy as np
+    from hermevp import csvout
+
+    xs = tables[0][:, 0]
+    columns = [t[:, j] for t in tables for j in (1, 2)]
+    lists = [c.tolist() for c in columns]
+    n_floats = sum(map(len, columns))
+    paths = [out / f"timed_{m}.csv" for m in range(1, 6)]
+
+    def kernel_floats():
+        for c in columns:
+            csvout.float_fields(c)
+
+    def percent_floats():
+        for values in lists:
+            [csvout.FLOAT_FIELD % v for v in values]
+
+    def kernel_files():
+        x = csvout.float_fields(xs)
+        for m, path in enumerate(paths):
+            u, du = csvout.float_fields(
+                np.stack(columns[2 * m:2 * m + 2])).reshape(2, -1)
+            csvout.write_columns(path, HEADER, (x, u, du))
+
+    def percent_files():
+        x = [csvout.FLOAT_FIELD % v for v in xs.tolist()]
+        for m, path in enumerate(paths):
+            csvout.write_csv(path, HEADER, (str, float, float),
+                             zip(x, lists[2 * m], lists[2 * m + 1]))
+
+    for write in (kernel_files, percent_files):
+        write()
+        if [path.read_bytes() for path in paths] != expect:
+            return None
+    per_float = timed({"float_fields": kernel_floats,
+                       "percent": percent_floats}, 1e9 / n_floats, "ns")
+    five_files = timed({"arrays_kernel": kernel_files,
+                        "lists_percent": percent_files}, 1e3, "ms")
+
+    def with_chunk(size):
+        def run():
+            chunk, csvout.CHUNK = csvout.CHUNK, size
+            try:
+                kernel_files()
+            finally:
+                csvout.CHUNK = chunk
+        return run
+
+    five_files_by_chunk = timed({size: with_chunk(size)
+                                 for size in CHUNK_SWEEP}, 1e3, "ms")
+    return {
+        "rows_per_file": len(xs),
+        "floats_timed": n_floats,
+        "repeats": REPEATS,
+        "ns_per_float": per_float,
+        "ms_per_five_mode_files": five_files,
+        "ms_per_five_kernel_files_by_chunk": five_files_by_chunk,
+    }
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or not (Path(args[0]) / "hermevp" /
@@ -64,7 +129,6 @@ def main(argv=None) -> int:
         os.environ[var] = str(threads)
     sys.path.insert(0, str(Path(args[0]).resolve()))
     import numpy as np
-    from hermevp import csvout
     from hermevp.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -74,67 +138,14 @@ def main(argv=None) -> int:
         tables = [np.loadtxt(out / f"mode_{m}.csv", delimiter=",",
                              skiprows=1) for m in range(1, 6)]
         expect = [(out / f"mode_{m}.csv").read_bytes() for m in range(1, 6)]
-    xs = tables[0][:, 0]
-    columns = [t[:, j] for t in tables for j in (1, 2)]
-    lists = [c.tolist() for c in columns]
-    n_floats = sum(map(len, columns))
-
-    def kernel_floats():
-        for c in columns:
-            csvout.float_fields(c)
-
-    def percent_floats():
-        for values in lists:
-            [csvout.FLOAT_FIELD % v for v in values]
-
-    def write_files(arrays: bool) -> list:
-        files = []
-        if arrays:
-            x = csvout.float_fields(xs)
-        else:
-            x = [csvout.FLOAT_FIELD % v for v in xs.tolist()]
-        for m in range(5):
-            fh = io.StringIO(newline="")
-            if arrays:
-                kinds = (float,) * 3
-                u, du = csvout.float_fields(
-                    np.stack(columns[2 * m:2 * m + 2])).reshape(2, -1)
-            else:
-                kinds = (str, float, float)
-                u, du = lists[2 * m], lists[2 * m + 1]
-            csvout.CsvWriter(fh, HEADER, kinds).writecolumns((x, u, du))
-            files.append(fh.getvalue().encode())
-        return files
-
-    if write_files(True) != expect or write_files(False) != expect:
+        record = measure(tables, expect, out)
+    if record is None:
         print("the two ways disagree with the written files", file=sys.stderr)
         return 1
-    per_float = timed({"float_fields": kernel_floats,
-                       "percent": percent_floats}, 1e9 / n_floats, "ns")
-    five_files = timed({"arrays_kernel": lambda: write_files(True),
-                        "lists_percent": lambda: write_files(False)},
-                       1e3, "ms")
-
-    def with_chunk(size):
-        def run():
-            chunk, csvout.CHUNK = csvout.CHUNK, size
-            try:
-                write_files(True)
-            finally:
-                csvout.CHUNK = chunk
-        return run
-
-    five_files_by_chunk = timed({size: with_chunk(size)
-                                 for size in CHUNK_SWEEP}, 1e3, "ms")
     record = {
         "command": " ".join(["python3", "tools/csv_kernel_ns.py", *args]),
         "op": " ".join(OPS["fine_solve"]),
-        "rows_per_file": len(xs),
-        "floats_timed": n_floats,
-        "repeats": REPEATS,
-        "ns_per_float": per_float,
-        "ms_per_five_mode_files": five_files,
-        "ms_per_five_kernel_files_by_chunk": five_files_by_chunk,
+        **record,
     }
     json.dump(record, sys.stdout, indent=1)
     sys.stdout.write("\n")
